@@ -1,14 +1,15 @@
 #include "cli/commands.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <ostream>
 
 #include "cli/args.hpp"
+#include "cli/kernels.hpp"
 #include "core/autotuner.hpp"
 #include "core/native_backend.hpp"
 #include "core/parallel_evaluator.hpp"
-#include "core/pipe_backend.hpp"
 #include "core/report.hpp"
 #include "core/session.hpp"
 #include "core/spaces.hpp"
@@ -37,10 +38,9 @@ namespace rooftune::cli {
 
 namespace {
 
-void add_common_options(ArgParser& parser) {
-  parser.add_option("machine", "simulated machine name (see 'rooftune machines')");
-  parser.add_flag("native", "run on the host hardware instead of a simulated machine");
-  parser.add_option("sockets", "socket count for the simulated machine (default 1)");
+/// What every tuning command reads (core::TunerOptions via
+/// tuner_options_from): the search schedule and its stop conditions.
+void add_tuner_options(ArgParser& parser) {
   parser.add_option("timeout", "per-invocation kernel-time budget in seconds (default 10)", "t");
   parser.add_option("invocations", "outer-loop invocation cap (default 10)");
   parser.add_option("iterations", "inner-loop iteration cap (default 200)");
@@ -60,43 +60,36 @@ void add_common_options(ArgParser& parser) {
   parser.add_option("confirm-top",
                     "surrogate: predicted-best configurations raced in the confirm "
                     "phase (default 16)");
-  parser.add_option("min-count", "minimum iterations before upper-bound pruning (default 2)");
-  parser.add_optional_value(
-      "counter-prune",
-      "abandon a configuration after its first invocations when its "
-      "hardware-counter roofline bound cannot beat the incumbent; the "
-      "optional value is the safety margin (default 0.25; "
-      "docs/search-strategies.md).  Simulated machines derive the ceilings "
-      "from the machine model; --native needs --custom-machine and "
-      "--perf-counters");
-  parser.add_option("counter-window",
-                    "counter-prune: invocations consulted before the policy "
-                    "disarms for a configuration (default 2)");
-  parser.add_flag("sim-counters",
-                  "simulated machines: synthesize deterministic hardware "
-                  "counters (cycles/instructions/LLC misses) on every "
-                  "invocation record; implied by --counter-prune");
+  parser.add_option("min-count",
+                    "minimum iterations before upper-bound pruning (default 2; "
+                    "roofline and advise: 10)");
   parser.add_option("order", "search order override: forward|reverse|random");
   parser.add_option("seed", "noise/search seed (default 2021)");
-  parser.add_flag("json", "emit the full tuning report as JSON");
-  parser.add_flag("csv", "emit per-configuration results as CSV");
-  parser.add_flag("small-space", "use the narrowed power-of-two DGEMM space");
-  parser.add_option("grid-scale",
-                    "dgemm: subdivide every octave of the reduced space into this "
-                    "many geometric steps (1 = the paper's 96-config grid, "
-                    "6 ~ 11k configs; pairs with --strategy surrogate)");
+}
+
+void add_machine_options(ArgParser& parser) {
+  parser.add_option("machine", "simulated machine name (see 'rooftune machines')");
+  parser.add_flag("native", "run on the host hardware instead of a simulated machine");
+}
+
+void add_custom_machine_option(ArgParser& parser) {
   parser.add_option("custom-machine",
-                    "hardware spec for --native utilization reporting: "
+                    "hardware spec of the host for --native runs: "
                     "name:freqGHz:cores:sockets:avx2|avx512:units:l3:dram_MTs:channels");
-  parser.add_option("checkpoint",
-                    "checkpoint file: persist progress after every configuration "
-                    "and resume interrupted searches");
+}
+
+void add_huge_pages_option(ArgParser& parser) {
+  parser.add_flag("huge-pages",
+                  "--native: back arena slabs with transparent huge pages "
+                  "(madvise(MADV_HUGEPAGE); see docs/performance.md)");
+}
+
+/// What sim_options_from reads.
+void add_sim_options(ArgParser& parser) {
+  parser.add_option("sockets", "socket count for the simulated machine (default 1)");
   parser.add_option("arena",
                     "workspace-arena slab reuse across invocations: on|off "
                     "(default on; off reproduces per-invocation allocation)");
-  parser.add_flag("huge-pages",
-                  "back arena slabs with transparent huge pages "
-                  "(madvise(MADV_HUGEPAGE); see docs/performance.md)");
   parser.add_option("setup-overhead",
                     "simulated cost in seconds of materializing a fresh working "
                     "set (allocation + page faults); default 0");
@@ -112,6 +105,36 @@ void add_common_options(ArgParser& parser) {
                     "energy for telemetry spans); default 0");
   parser.add_option("dram-power",
                     "simulated DRAM power draw in watts; default 0");
+  parser.add_option("cost-skew",
+                    "simulated host-cost multiplier for straggler "
+                    "configurations (a fixed 1-in-8 subset sleeps this many "
+                    "times longer per invocation; measured results are "
+                    "unchanged — only host wall-clock varies)");
+  parser.add_option("cost-base",
+                    "per-invocation host cost in seconds that --cost-skew "
+                    "scales (default 0.001)");
+}
+
+void add_counter_prune_options(ArgParser& parser) {
+  parser.add_optional_value(
+      "counter-prune",
+      "abandon a configuration after its first invocations when its "
+      "hardware-counter roofline bound cannot beat the incumbent; the "
+      "optional value is the safety margin (default 0.25; "
+      "docs/search-strategies.md).  Simulated machines derive the ceilings "
+      "from the machine model; --native needs --custom-machine and "
+      "--perf-counters");
+  parser.add_option("counter-window",
+                    "counter-prune: invocations consulted before the policy "
+                    "disarms for a configuration (default 2)");
+  parser.add_flag("sim-counters",
+                  "simulated machines: synthesize deterministic hardware "
+                  "counters (cycles/instructions/LLC misses) on every "
+                  "invocation record; implied by --counter-prune");
+}
+
+/// What parallel_options_from reads.
+void add_parallel_options(ArgParser& parser) {
   parser.add_option("workers",
                     "evaluate configurations in parallel with this many pool "
                     "workers (0 = hardware concurrency); simulated machines "
@@ -132,14 +155,6 @@ void add_common_options(ArgParser& parser) {
                   "report scheduler accounting (tasks, steals, parks, idle "
                   "fraction) and append it to the trace journal as a "
                   "{\"t\":\"scheduler\"} record; requires --workers");
-  parser.add_option("cost-skew",
-                    "simulated host-cost multiplier for straggler "
-                    "configurations (a fixed 1-in-8 subset sleeps this many "
-                    "times longer per invocation; measured results are "
-                    "unchanged — only host wall-clock varies)");
-  parser.add_option("cost-base",
-                    "per-invocation host cost in seconds that --cost-skew "
-                    "scales (default 0.001)");
 }
 
 void add_trace_options(ArgParser& parser) {
@@ -365,13 +380,6 @@ void maybe_export(const ArgParser& parser, const core::TuningRun& run,
       << " configuration(s))\n";
 }
 
-bool arena_enabled(const ArgParser& parser) {
-  const std::string mode = util::to_lower(parser.get_or("arena", "on"));
-  if (mode == "on") return true;
-  if (mode == "off") return false;
-  throw std::invalid_argument("--arena wants on|off, got '" + mode + "'");
-}
-
 /// Parse --workers and its satellite flags into ParallelOptions, or nullopt
 /// when the run is serial.  The satellites are rejected without --workers so
 /// a typo like `--sched-stats` alone does not silently do nothing.
@@ -412,18 +420,17 @@ std::optional<core::ParallelOptions> parallel_options_from(const ArgParser& pars
 
 /// Run `tuner`-style search with optional checkpointing, or fan out over a
 /// worker pool when --workers asked for one (simulated backends only —
-/// `factory` stays null for --native and pipe runs, whose backends own
-/// process-global state and cannot be instantiated per worker).
+/// `factory` stays null for host runs, whose backends own process-global
+/// state and cannot be instantiated per worker).
 core::TuningRun run_search(const ArgParser& parser, const core::SearchSpace& space,
                            const core::TunerOptions& options,
                            core::Backend& backend,
-                           core::ParallelEvaluator::BackendFactory factory = nullptr) {
+                           KernelSpec::BackendFactory factory) {
   if (const auto parallel = parallel_options_from(parser)) {
     if (!factory) {
       throw std::invalid_argument(
-          "--workers needs per-worker backend instances; --native and pipe "
-          "backends own process-global state (OpenMP runtime, child "
-          "processes) and only run serially");
+          "--workers needs per-worker backend instances; --native backends "
+          "own process-global state (OpenMP runtime) and only run serially");
     }
     if (parser.get("checkpoint").has_value()) {
       throw std::invalid_argument(
@@ -557,20 +564,6 @@ void counter_prune_native(const ArgParser& parser, core::TunerOptions& options) 
   counter_prune_from(parser, options, machine, machine.sockets);
 }
 
-core::NativeDgemmBackend::Options native_dgemm_options(const ArgParser& parser) {
-  core::NativeDgemmBackend::Options options;
-  options.reuse = arena_enabled(parser);
-  options.arena_options.huge_pages = parser.has("huge-pages");
-  return options;
-}
-
-core::NativeTriadBackend::Options native_triad_options(const ArgParser& parser) {
-  core::NativeTriadBackend::Options options;
-  options.reuse = arena_enabled(parser);
-  options.arena_options.huge_pages = parser.has("huge-pages");
-  return options;
-}
-
 void emit_run(const core::TuningRun& run, const std::string& benchmark,
               const std::string& metric, const ArgParser& parser, std::ostream& out) {
   if (parser.has("json")) {
@@ -598,162 +591,84 @@ int cmd_machines(std::ostream& out) {
   return 0;
 }
 
-int cmd_dgemm(const ArgParser& parser, std::ostream& out) {
+/// Options of `rooftune <kernel>`: the tuner, report, journal and
+/// checkpoint options every kernel reads; machine, simulator and parallel
+/// options when the kernel has a simulated backend; then its own.
+void add_tune_options(ArgParser& parser, const KernelSpec& kernel) {
+  add_tuner_options(parser);
+  parser.add_flag("json", "emit the full tuning report as JSON");
+  parser.add_flag("csv", "emit per-configuration results as CSV");
+  parser.add_option("checkpoint",
+                    "checkpoint file: persist progress after every configuration "
+                    "and resume interrupted searches");
+  add_trace_options(parser);
+  if (kernel.sim != nullptr) {
+    // Registers --native even without a native backend, so that the
+    // refusal in cmd_tune can say why.
+    add_machine_options(parser);
+    add_sim_options(parser);
+    add_counter_prune_options(parser);
+    add_parallel_options(parser);
+    if (kernel.native != nullptr) {
+      add_custom_machine_option(parser);
+      add_huge_pages_option(parser);
+    }
+  }
+  if (kernel.add_options != nullptr) kernel.add_options(parser);
+}
+
+/// The tuning sequence every kernel shares: options, backend (plus the
+/// per-worker factory on simulated machines), search, journal, profile,
+/// export and report.
+int cmd_tune(const KernelSpec& kernel, const ArgParser& parser, std::ostream& out) {
+  const bool host_run = kernel.sim == nullptr || parser.has("native");
+  if (host_run && kernel.native == nullptr) {
+    throw std::invalid_argument(
+        std::string(kernel.name) +
+        ": --native is not supported (its backend models the kernel on "
+        "simulated machines only; docs/kernels.md)");
+  }
   auto options = tuner_options_from(parser);
-  auto setup = trace_setup_from(parser, options, parser.has("native"));
-  const int grid_scale = static_cast<int>(parser.get_int("grid-scale", 1));
-  if (grid_scale < 1) throw std::invalid_argument("--grid-scale must be >= 1");
-  const auto space = parser.has("small-space") ? core::dgemm_narrowed_space()
-                     : grid_scale > 1          ? core::dgemm_scaled_space(grid_scale)
-                                               : core::dgemm_reduced_space();
-  const core::Autotuner tuner(space, options);
+  auto setup = trace_setup_from(parser, options, host_run);
+  const core::SearchSpace space = kernel.space(parser);
 
   std::unique_ptr<core::Backend> backend;
-  core::ParallelEvaluator::BackendFactory factory;
-  if (parser.has("native")) {
+  KernelSpec::BackendFactory factory;
+  if (host_run) {
     counter_prune_native(parser, options);
-    backend = std::make_unique<core::NativeDgemmBackend>(native_dgemm_options(parser));
+    backend = kernel.native(parser);
   } else {
     const auto machine = simhw::machine_by_name(parser.get_or("machine", "2650v4"));
     auto sim = sim_options_from(parser);
-    sim.grid_scale = grid_scale;
     counter_prune_from(parser, options, machine, sim.sockets_used);
     sim.counter_model = options.counter_prune || parser.has("sim-counters");
-    backend = std::make_unique<simhw::SimDgemmBackend>(machine, sim);
-    factory = [machine, sim]() -> std::unique_ptr<core::Backend> {
-      return std::make_unique<simhw::SimDgemmBackend>(machine, sim);
-    };
+    factory = kernel.sim(parser, machine, sim);
+    backend = factory();
   }
-  const auto run =
-      run_search(parser, tuner.space(), options, *backend, std::move(factory));
-  if (setup) {
-    finish_trace(setup, run, "dgemm", backend->metric_name(), options, out);
-  }
-  finish_profile(setup, run, "dgemm", options, out);
-  maybe_export(parser, run, tuner.space(), "dgemm", backend->metric_name(),
-               options, setup, out);
-  emit_run(run, "dgemm", backend->metric_name(), parser, out);
-  return 0;
-}
-
-int cmd_triad(const ArgParser& parser, std::ostream& out) {
-  auto options = tuner_options_from(parser);
-  auto setup = trace_setup_from(parser, options, parser.has("native"));
-  // Optional working-set bounds: a narrowed sweep makes small smoke runs
-  // (e.g. the CI arena check) practical on shared hosts.
-  core::SearchSpace space = core::triad_space();
-  if (parser.get("min-mib").has_value() || parser.get("max-mib").has_value()) {
-    space = core::triad_space(
-        util::Bytes::MiB(static_cast<std::uint64_t>(parser.get_int("min-mib", 8))),
-        util::Bytes::MiB(static_cast<std::uint64_t>(parser.get_int("max-mib", 256))));
-  }
-  const core::Autotuner tuner(space, options);
-
-  std::unique_ptr<core::Backend> backend;
-  core::ParallelEvaluator::BackendFactory factory;
-  if (parser.has("native")) {
-    counter_prune_native(parser, options);
-    backend = std::make_unique<core::NativeTriadBackend>(native_triad_options(parser));
-  } else {
-    const auto machine = simhw::machine_by_name(parser.get_or("machine", "2650v4"));
-    auto sim = sim_options_from(parser);
-    sim.affinity = sim.sockets_used > 1 ? util::AffinityPolicy::Spread
-                                        : util::AffinityPolicy::Close;
-    counter_prune_from(parser, options, machine, sim.sockets_used);
-    sim.counter_model = options.counter_prune || parser.has("sim-counters");
-    backend = std::make_unique<simhw::SimTriadBackend>(machine, sim);
-    factory = [machine, sim]() -> std::unique_ptr<core::Backend> {
-      return std::make_unique<simhw::SimTriadBackend>(machine, sim);
-    };
-  }
-  const auto run =
-      run_search(parser, tuner.space(), options, *backend, std::move(factory));
-  if (setup) {
-    finish_trace(setup, run, "triad", backend->metric_name(), options, out);
-  }
-  finish_profile(setup, run, "triad", options, out);
-  maybe_export(parser, run, tuner.space(), "triad", backend->metric_name(),
-               options, setup, out);
-  emit_run(run, "triad", backend->metric_name(), parser, out);
-  return 0;
-}
-
-int cmd_spmv(const ArgParser& parser, std::ostream& out) {
-  if (parser.has("native")) {
-    throw std::invalid_argument(
-        "spmv: --native is not supported (the SpMV backend models the "
-        "format/blocking landscape on simulated machines only; "
-        "docs/kernels.md)");
-  }
-  auto options = tuner_options_from(parser);
-  auto setup = trace_setup_from(parser, options, /*host_run=*/false);
-  const core::SearchSpace space = core::spmv_space();
-
-  const auto machine = simhw::machine_by_name(parser.get_or("machine", "2650v4"));
-  auto sim = sim_options_from(parser);
-  counter_prune_from(parser, options, machine, sim.sockets_used);
-  sim.counter_model = options.counter_prune || parser.has("sim-counters");
-  simhw::SimSpmvBackend backend(machine, sim);
-  core::ParallelEvaluator::BackendFactory factory =
-      [machine, sim]() -> std::unique_ptr<core::Backend> {
-    return std::make_unique<simhw::SimSpmvBackend>(machine, sim);
-  };
-  const auto run = run_search(parser, space, options, backend, std::move(factory));
-  if (setup) {
-    finish_trace(setup, run, "spmv", backend.metric_name(), options, out);
-  }
-  finish_profile(setup, run, "spmv", options, out);
-  maybe_export(parser, run, space, "spmv", backend.metric_name(), options,
-               setup, out);
-  emit_run(run, "spmv", backend.metric_name(), parser, out);
-  return 0;
-}
-
-int cmd_stencil(const ArgParser& parser, std::ostream& out) {
-  if (parser.has("native")) {
-    throw std::invalid_argument(
-        "stencil: --native is not supported (the stencil backend models the "
-        "tiling landscape on simulated machines only; docs/kernels.md)");
-  }
-  auto options = tuner_options_from(parser);
-  auto setup = trace_setup_from(parser, options, /*host_run=*/false);
-  const core::SearchSpace space = core::stencil_space();
-
-  const auto grid_n = parser.get_int("grid-n", 4096);
-  if (grid_n < 8) throw std::invalid_argument("--grid-n must be >= 8");
-  const auto machine = simhw::machine_by_name(parser.get_or("machine", "2650v4"));
-  auto sim = sim_options_from(parser);
-  counter_prune_from(parser, options, machine, sim.sockets_used);
-  sim.counter_model = options.counter_prune || parser.has("sim-counters");
-  simhw::SimStencilBackend backend(machine, sim, grid_n);
-  core::ParallelEvaluator::BackendFactory factory =
-      [machine, sim, grid_n]() -> std::unique_ptr<core::Backend> {
-    return std::make_unique<simhw::SimStencilBackend>(machine, sim, grid_n);
-  };
-  const auto run = run_search(parser, space, options, backend, std::move(factory));
-  if (setup) {
-    finish_trace(setup, run, "stencil", backend.metric_name(), options, out);
-  }
-  finish_profile(setup, run, "stencil", options, out);
-  maybe_export(parser, run, space, "stencil", backend.metric_name(), options,
-               setup, out);
-  emit_run(run, "stencil", backend.metric_name(), parser, out);
+  const std::string metric = backend->metric_name();
+  const auto run = run_search(parser, space, options, *backend, std::move(factory));
+  if (setup) finish_trace(setup, run, kernel.name, metric, options, out);
+  finish_profile(setup, run, kernel.name, options, out);
+  maybe_export(parser, run, space, kernel.name, metric, options, setup, out);
+  emit_run(run, kernel.name, metric, parser, out);
   return 0;
 }
 
 /// The standard space for a journal's benchmark name — journal reconstruction
 /// needs one because journals record configurations but not the space
-/// definition.  dgemm journals are assumed to use the production reduced
-/// space; runs over a variant space (--small-space, --grid-scale) should
-/// export from the live run (--export) instead.
+/// definition.  That is the kernel's space under default options (dgemm: the
+/// production reduced space); runs over a variant space (--small-space,
+/// --grid-scale, --min-mib) should export from the live run (--export)
+/// instead.  Host-only kernels (pipe) take their whole space from the
+/// command line, so they have no standard one.
 core::SearchSpace space_for_benchmark(const std::string& benchmark) {
-  if (benchmark == "dgemm") return core::dgemm_reduced_space();
-  if (benchmark == "triad") return core::triad_space();
-  if (benchmark == "spmv") return core::spmv_space();
-  if (benchmark == "stencil") return core::stencil_space();
-  throw std::invalid_argument(
-      "export: no standard search space for benchmark '" + benchmark +
-      "'; pass --export to the tuning command to export from the live run");
+  const KernelSpec* kernel = find_kernel(benchmark);
+  if (kernel == nullptr || kernel->sim == nullptr) {
+    throw std::invalid_argument(
+        "export: no standard search space for benchmark '" + benchmark +
+        "'; pass --export to the tuning command to export from the live run");
+  }
+  return kernel->space(ArgParser{});
 }
 
 int cmd_export(const ArgParser& parser, std::ostream& out) {
@@ -813,67 +728,6 @@ int cmd_import(const ArgParser& parser, std::ostream& out) {
   return 0;
 }
 
-int cmd_pipe(const ArgParser& parser, std::ostream& out) {
-  const auto command = parser.get("command");
-  if (!command) throw std::invalid_argument("pipe: --command is required");
-
-  // --param name=v1,v2,v3 (repeatable via ';' between specs in one flag).
-  const auto params = parser.get("param");
-  if (!params) {
-    throw std::invalid_argument("pipe: --param name=v1,v2,... is required");
-  }
-  core::SearchSpace space;
-  for (const auto& spec : util::split(*params, ';')) {
-    const auto eq = spec.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("pipe: bad --param spec '" + spec +
-                                  "' (want name=v1,v2,...)");
-    }
-    const std::string name = util::trim(spec.substr(0, eq));
-    std::vector<std::int64_t> values;
-    for (const auto& v : util::split(spec.substr(eq + 1), ',')) {
-      try {
-        values.push_back(std::stoll(util::trim(v)));
-      } catch (const std::exception&) {
-        throw std::invalid_argument("pipe: bad value '" + v + "' for " + name);
-      }
-    }
-    space.add_range(core::ParameterRange(name, std::move(values)));
-  }
-
-  core::PipeBackend::Options pipe_options;
-  pipe_options.command_template = *command;
-  pipe_options.metric_name = parser.get_or("metric", "units/s");
-  core::PipeBackend backend(pipe_options);
-
-  // Per-thread hardware counters cannot observe the child process the pipe
-  // backend spawns, so the counts would silently describe the wrong code.
-  // Package-scope energy telemetry (--telemetry) is fine: the child runs
-  // synchronously inside the invocation span.
-  if (parser.has("perf-counters")) {
-    throw std::invalid_argument(
-        "pipe: --perf-counters is not supported (per-thread counters cannot "
-        "observe the child process); --telemetry energy sampling works");
-  }
-  if (parser.has("counter-prune")) {
-    throw std::invalid_argument(
-        "pipe: --counter-prune is not supported (the bound needs analytic "
-        "FLOP counts and per-thread counters, neither of which the pipe "
-        "backend has)");
-  }
-  auto options = tuner_options_from(parser);
-  auto setup = trace_setup_from(parser, options, /*host_run=*/true);
-  const auto run = run_search(parser, space, options, backend);
-  if (setup) {
-    finish_trace(setup, run, "pipe", backend.metric_name(), options, out);
-  }
-  finish_profile(setup, run, "pipe", options, out);
-  maybe_export(parser, run, space, "pipe", backend.metric_name(), options,
-               setup, out);
-  emit_run(run, "pipe", backend.metric_name(), parser, out);
-  return 0;
-}
-
 int cmd_roofline(const ArgParser& parser, std::ostream& out) {
   roofline::BuilderOptions options;
   options.tuner = tuner_options_from(parser);
@@ -924,19 +778,19 @@ int cmd_stream(const ArgParser& parser, std::ostream& out) {
   for (const auto kernel : {stream::Kernel::Copy, stream::Kernel::Scale,
                             stream::Kernel::Add, stream::Kernel::Triad}) {
     std::unique_ptr<core::Backend> backend;
-    core::SearchSpace space = core::triad_space();
+    core::SearchSpace space;
     if (parser.has("native")) {
-      auto nopt = native_triad_options(parser);
-      nopt.kernel = kernel;
-      backend = std::make_unique<core::NativeTriadBackend>(nopt);
+      core::NativeTriadBackend::Options native;
+      native.reuse = arena_enabled(parser);
+      native.arena_options.huge_pages = parser.has("huge-pages");
+      native.kernel = kernel;
+      backend = std::make_unique<core::NativeTriadBackend>(native);
       space = core::triad_space(util::Bytes::MiB(8), util::Bytes::MiB(256));
     } else {
       const auto machine = simhw::machine_by_name(parser.get_or("machine", "2650v4"));
       auto sim = sim_options_from(parser);
       sim.stream_kernel = kernel;
-      sim.affinity = sim.sockets_used > 1 ? util::AffinityPolicy::Spread
-                                          : util::AffinityPolicy::Close;
-      backend = std::make_unique<simhw::SimTriadBackend>(machine, sim);
+      backend = find_kernel("triad")->sim(parser, machine, sim)();
       // DRAM-resident sweep per the STREAM convention.
       space = core::triad_space(
           util::Bytes{8 * machine.l3_capacity(sim.sockets_used).value},
@@ -1102,50 +956,114 @@ int cmd_version(std::ostream& out) {
   return 0;
 }
 
-const char kUsage[] =
-    "usage: rooftune <command> [options]\n"
-    "\n"
-    "commands:\n"
-    "  machines   list the built-in simulated machines\n"
-    "  roofline   autotune DGEMM + TRIAD and assemble the roofline model\n"
-    "  dgemm      autotune the DGEMM benchmark\n"
-    "  triad      autotune the TRIAD benchmark\n"
-    "  spmv       autotune the sparse matrix-vector benchmark (storage\n"
-    "             format x blocking space; simulated machines only,\n"
-    "             docs/kernels.md)\n"
-    "  stencil    autotune the 2D 5-point stencil benchmark (tile/unroll\n"
-    "             space, --grid-n sets the grid; simulated machines only)\n"
-    "  advise     rank machines by attainable performance at a kernel's\n"
-    "             operational intensity (--intensity FLOP/byte)\n"
-    "  pipe       autotune an external benchmark command: --command\n"
-    "             './bench --n {n}' --param 'n=64,128,256' [--metric GB/s]\n"
-    "  stream     run the full STREAM suite (copy/scale/add/triad)\n"
-    "  trace      analyze a --trace JSONL journal ('rooftune trace --help'\n"
-    "             documents the schema; see docs/observability.md)\n"
-    "  export     reconstruct a portable tuning export from a --trace\n"
-    "             journal: --journal run.jsonl -o run.export.json\n"
-    "             (schema in docs/formats.md; live runs can write one\n"
-    "             directly with --export)\n"
-    "  import     read a tuning export; --replay re-scores every recorded\n"
-    "             configuration through a mock backend and verifies the\n"
-    "             recorded optimum bit-identically\n"
-    "  profile    analyze a --profile self-profile sidecar: category\n"
-    "             hierarchy, per-worker Gantt, longest spans, critical\n"
-    "             path, and a cross-check against the report's sums\n"
-    "  version    print build type, compiler, SIMD dispatch level, and\n"
-    "             the journal/export/profile schema versions\n"
-    "\n";
+// ---- the other option-parsing commands --------------------------------------
+
+void add_roofline_options(ArgParser& parser) {
+  add_tuner_options(parser);
+  add_machine_options(parser);
+  add_custom_machine_option(parser);
+  parser.add_flag("small-space",
+                  "--native: tune the full reduced DGEMM space instead of the "
+                  "narrowed power-of-two default");
+  parser.add_flag("json", "emit the roofline model as JSON");
+  parser.add_option("svg", "write the roofline graph as SVG");
+}
+
+void add_advise_options(ArgParser& parser) {
+  add_tuner_options(parser);
+  parser.add_option("machine",
+                    "simulated machine to assess (default: every paper machine)");
+  parser.add_option("intensity", "kernel operational intensity in FLOP/byte");
+}
+
+void add_stream_options(ArgParser& parser) {
+  add_tuner_options(parser);
+  add_machine_options(parser);
+  add_sim_options(parser);
+  add_huge_pages_option(parser);
+}
+
+void add_export_options(ArgParser& parser) {
+  parser.add_option("journal",
+                    "trace journal (--trace output) to reconstruct the "
+                    "export from");
+  parser.add_option("output", "destination file for the export document", "o");
+}
+
+void add_import_options(ArgParser& parser) {
+  parser.add_flag("replay",
+                  "re-score every recorded configuration through a "
+                  "mock backend and verify the recorded optimum "
+                  "bit-identically (docs/formats.md)");
+  parser.add_option("output",
+                    "re-export the parsed document to this path "
+                    "(byte-identical to a well-formed input)",
+                    "o");
+}
+
+struct Command {
+  const char* name;
+  void (*add_options)(ArgParser&);
+  int (*run)(const ArgParser&, std::ostream&);
+};
+
+constexpr Command kCommands[] = {
+    {"roofline", add_roofline_options, cmd_roofline},
+    {"advise", add_advise_options, cmd_advise},
+    {"stream", add_stream_options, cmd_stream},
+    {"export", add_export_options, cmd_export},
+    {"import", add_import_options, cmd_import},
+};
+
+std::string usage() {
+  std::string text =
+      "usage: rooftune <command> [options]\n"
+      "       rooftune <command> --help   (that command's options)\n"
+      "\n"
+      "commands:\n"
+      "  machines   list the built-in simulated machines\n"
+      "  roofline   autotune DGEMM + TRIAD and assemble the roofline model\n";
+  for (const auto& kernel : kernels()) {
+    text += util::format("  %-10s %s\n", kernel.name, kernel.usage);
+  }
+  text +=
+      "  advise     rank machines by attainable performance at a kernel's\n"
+      "             operational intensity (--intensity FLOP/byte)\n"
+      "  stream     run the full STREAM suite (copy/scale/add/triad)\n"
+      "  trace      analyze a --trace JSONL journal ('rooftune trace --help'\n"
+      "             documents the schema; see docs/observability.md)\n"
+      "  export     reconstruct a portable tuning export from a --trace\n"
+      "             journal: --journal run.jsonl -o run.export.json\n"
+      "             (schema in docs/formats.md; live runs can write one\n"
+      "             directly with --export)\n"
+      "  import     read a tuning export; --replay re-scores every recorded\n"
+      "             configuration through a mock backend and verifies the\n"
+      "             recorded optimum bit-identically\n"
+      "  profile    analyze a --profile self-profile sidecar: category\n"
+      "             hierarchy, per-worker Gantt, longest spans, critical\n"
+      "             path, and a cross-check against the report's sums\n"
+      "  version    print build type, compiler, SIMD dispatch level, and\n"
+      "             the journal/export/profile schema versions\n"
+      "\n";
+  return text;
+}
+
+bool wants_help(const std::vector<std::string>& args) {
+  return std::any_of(args.begin(), args.end(), [](const std::string& arg) {
+    return arg == "--help" || arg == "-h";
+  });
+}
 
 }  // namespace
 
 int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
   if (args.empty() || args[0] == "help" || args[0] == "--help" || args[0] == "-h") {
-    out << kUsage;
+    out << usage();
     return args.empty() ? 1 : 0;
   }
 
   const std::string command = args[0];
-  std::vector<std::string> rest(args.begin() + 1, args.end());
+  const std::vector<std::string> rest(args.begin() + 1, args.end());
 
   try {
     if (command == "machines") return cmd_machines(out);
@@ -1153,67 +1071,28 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostrea
     if (command == "trace") return cmd_trace(rest, out);
     if (command == "profile") return cmd_profile(rest, out);
 
-    if (command == "export" || command == "import") {
-      ArgParser parser;
-      if (command == "export") {
-        parser.add_option("journal",
-                          "trace journal (--trace output) to reconstruct the "
-                          "export from");
-      } else {
-        parser.add_flag("replay",
-                        "re-score every recorded configuration through a "
-                        "mock backend and verify the recorded optimum "
-                        "bit-identically (docs/formats.md)");
-      }
-      parser.add_option("output",
-                        command == "export"
-                            ? "destination file for the export document"
-                            : "re-export the parsed document to this path "
-                              "(byte-identical to a well-formed input)",
-                        "o");
-      parser.parse(rest);
-      return command == "export" ? cmd_export(parser, out)
-                                 : cmd_import(parser, out);
-    }
-
     ArgParser parser;
-    add_common_options(parser);
-    if (command == "dgemm" || command == "triad" || command == "spmv" ||
-        command == "stencil" || command == "pipe") {
-      add_trace_options(parser);
+    const KernelSpec* kernel = find_kernel(command);
+    const Command* other = nullptr;
+    if (kernel != nullptr) {
+      add_tune_options(parser, *kernel);
+    } else {
+      for (const auto& c : kCommands) {
+        if (command == c.name) other = &c;
+      }
+      if (other == nullptr) {
+        err << "unknown command '" << command << "'\n" << usage();
+        return 1;
+      }
+      other->add_options(parser);
     }
-    if (command == "stencil") {
-      parser.add_option("grid-n",
-                        "stencil grid dimension N (N x N doubles per plane; "
-                        "default 4096)");
-    }
-    if (command == "roofline") parser.add_option("svg", "write the roofline graph as SVG");
-    if (command == "advise") {
-      parser.add_option("intensity", "kernel operational intensity in FLOP/byte");
-    }
-    if (command == "triad" || command == "stream") {
-      parser.add_option("min-mib",
-                        "smallest TRIAD working set in MiB (overrides the default sweep)");
-      parser.add_option("max-mib", "largest TRIAD working set in MiB");
-    }
-    if (command == "pipe") {
-      parser.add_option("command", "command template with {param} placeholders");
-      parser.add_option("param", "search ranges: 'n=64,128,256;m=1,2' ");
-      parser.add_option("metric", "metric label for reports (default units/s)");
+    if (wants_help(rest)) {
+      out << "usage: rooftune " << command << " [options]\n\noptions:\n"
+          << parser.help();
+      return 0;
     }
     parser.parse(rest);
-
-    if (command == "roofline") return cmd_roofline(parser, out);
-    if (command == "dgemm") return cmd_dgemm(parser, out);
-    if (command == "triad") return cmd_triad(parser, out);
-    if (command == "spmv") return cmd_spmv(parser, out);
-    if (command == "stencil") return cmd_stencil(parser, out);
-    if (command == "advise") return cmd_advise(parser, out);
-    if (command == "pipe") return cmd_pipe(parser, out);
-    if (command == "stream") return cmd_stream(parser, out);
-
-    err << "unknown command '" << command << "'\n" << kUsage;
-    return 1;
+    return kernel != nullptr ? cmd_tune(*kernel, parser, out) : other->run(parser, out);
   } catch (const std::exception& e) {
     err << "error: " << e.what() << '\n';
     return 1;

@@ -1,14 +1,8 @@
 #pragma once
 // The rooftune CLI subcommands, separated from main() so they can be tested.
-//
-//   rooftune machines                       list built-in simulated machines
-//   rooftune roofline [opts]                full pipeline -> model (+ SVG)
-//   rooftune dgemm [opts]                   autotune the DGEMM benchmark
-//   rooftune triad [opts]                   autotune the TRIAD benchmark
-//
-// Common options: --machine <name> | --native, --sockets N, -t <timeout>,
-// --invocations, --iterations, --technique, --min-count, --order, --seed,
-// --json, --csv, --svg <file>.
+// `rooftune help` lists the commands and `rooftune <command> --help` the
+// options that command reads; every other option is rejected.  The tuning
+// commands are rows of the kernel table (cli/kernels.hpp).
 
 #include <iosfwd>
 #include <string>

@@ -59,7 +59,6 @@ StopSet make_inner_stops(const TunerOptions& options) {
                                                options.confidence_min_samples,
                                                options.interval_method));
   }
-  for (const auto& factory : options.extra_inner_stops) stops.add(factory());
   return stops;
 }
 
@@ -78,7 +77,6 @@ StopSet make_outer_stops(const TunerOptions& options) {
                                                options.confidence_min_samples,
                                                options.interval_method));
   }
-  for (const auto& factory : options.extra_outer_stops) stops.add(factory());
   return stops;
 }
 
@@ -190,7 +188,6 @@ InvocationResult run_invocation(Backend& backend, const Configuration& config,
                                 std::optional<double> incumbent,
                                 const TraceContext& trace_ctx) {
   const StopSet stops = make_inner_stops(options);
-  stops.reset();
   InvocationResult result;
   stats::TrendDetector trend(16);
 
@@ -247,7 +244,6 @@ InvocationResult run_invocation(Backend& backend, const Configuration& config,
     }
     result.moments.add(batch_value);
     trend.add(batch_value);
-    stops.observe(batch_value);
 
     state.accumulated_time = result.kernel_time;
     state.count = result.iterations;
@@ -355,7 +351,6 @@ ConfigResult run_configuration(Backend& backend, const Configuration& config,
                                std::optional<double> incumbent,
                                const TraceContext& trace_ctx) {
   const StopSet outer_stops = make_outer_stops(options);
-  outer_stops.reset();
   ConfigResult result;
   result.config = config;
   stats::TrendDetector outer_trend(8);
@@ -377,7 +372,6 @@ ConfigResult run_configuration(Backend& backend, const Configuration& config,
     result.total_kernel_time += invocation.kernel_time;
     result.outer_moments.add(invocation.mean());
     outer_trend.add(invocation.mean());
-    outer_stops.observe(invocation.mean());
     // An inner prune ends only the current invocation (the benchmark
     // program exits early); with "Inner" alone the invocation loop keeps
     // re-launching the program — each launch gets pruned again after a few

@@ -4,8 +4,6 @@
 // configuration.  Both levels share the stop-condition machinery.
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -115,15 +113,6 @@ struct TunerOptions {
   /// schedules are bit-identical.
   double batch_overhead_ratio = 100.0;
   std::uint64_t max_timing_batch = 1024;
-
-  /// Additional stop conditions (e.g. the core/stop_condition_ext.hpp
-  /// future-work conditions).  Factories rather than instances: a fresh
-  /// condition is created per evaluation loop so stateful conditions start
-  /// clean.  Inner factories run once per invocation, outer once per
-  /// configuration.
-  using StopFactory = std::function<std::shared_ptr<const StopCondition>()>;
-  std::vector<StopFactory> extra_inner_stops;
-  std::vector<StopFactory> extra_outer_stops;
 
   /// Observability sink (src/trace).  Non-owning and null by default: every
   /// emission site guards with one pointer test, so tracing off costs

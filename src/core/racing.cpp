@@ -20,14 +20,6 @@ RacingScheduler::RacingScheduler(TunerOptions options) : options_(options) {
   if (options_.invocations == 0) {
     throw std::invalid_argument("RacingScheduler: invocations must be > 0");
   }
-  // Racing owns the invocation-level schedule: extra outer stop conditions
-  // are stateful per configuration and do not survive the round-interleaved
-  // (and checkpointed) evaluation order, so they are rejected rather than
-  // silently dropped.
-  if (!options_.extra_outer_stops.empty()) {
-    throw std::invalid_argument(
-        "RacingScheduler: extra_outer_stops are not supported under racing");
-  }
   // A racing round grants a sample batch, not a converged evaluation:
   // invocations run under a reduced iteration cap (racing_iterations) so a
   // round over the whole population costs a fraction of one sequential

@@ -1,7 +1,6 @@
 #include "core/stop_condition.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "util/strings.hpp"
@@ -119,43 +118,6 @@ std::string UpperBoundStop::name() const {
                       trend_guard_ ? ", trend-guard" : "");
 }
 
-// ---- MedianStabilityStop ---------------------------------------------------
-
-MedianStabilityStop::MedianStabilityStop(double tolerance, std::uint64_t window)
-    : tolerance_(tolerance), window_(window) {
-  if (tolerance <= 0.0) throw std::invalid_argument("MedianStabilityStop: tolerance > 0");
-  if (window < 8) throw std::invalid_argument("MedianStabilityStop: window >= 8");
-}
-
-void MedianStabilityStop::observe(double sample) const {
-  recent_.push_back(sample);
-  if (recent_.size() > window_) recent_.erase(recent_.begin());
-}
-
-void MedianStabilityStop::reset() const { recent_.clear(); }
-
-StopReason MedianStabilityStop::check(const EvalState& state) const {
-  (void)state;
-  if (recent_.size() < window_) return StopReason::None;
-  const std::size_t half = recent_.size() / 2;
-  auto median_of = [](std::vector<double> xs) {
-    std::nth_element(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(xs.size() / 2),
-                     xs.end());
-    return xs[xs.size() / 2];
-  };
-  const double first = median_of({recent_.begin(), recent_.begin() + static_cast<std::ptrdiff_t>(half)});
-  const double second = median_of({recent_.begin() + static_cast<std::ptrdiff_t>(half), recent_.end()});
-  if (first == 0.0) return StopReason::None;
-  return std::fabs(second - first) / std::fabs(first) <= tolerance_
-             ? StopReason::Converged
-             : StopReason::None;
-}
-
-std::string MedianStabilityStop::name() const {
-  return util::format("median-stability(+/-%.2g%%, w=%llu)", tolerance_ * 100.0,
-                      static_cast<unsigned long long>(window_));
-}
-
 // ---- StopSet ---------------------------------------------------------------
 
 void StopSet::add(std::shared_ptr<const StopCondition> condition) {
@@ -169,14 +131,6 @@ StopReason StopSet::check(const EvalState& state) const {
     if (r != StopReason::None) return r;
   }
   return StopReason::None;
-}
-
-void StopSet::observe(double sample) const {
-  for (const auto& c : conditions_) c->observe(sample);
-}
-
-void StopSet::reset() const {
-  for (const auto& c : conditions_) c->reset();
 }
 
 }  // namespace rooftune::core

@@ -54,13 +54,6 @@ class StopCondition {
   [[nodiscard]] virtual StopReason check(const EvalState& state) const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Conditions that need raw samples (medians, autocorrelation) override
-  /// these; the evaluator feeds every sample through observe() and calls
-  /// reset() when a new evaluation loop starts.  State is mutable because
-  /// conditions are shared as const through StopSet.
-  virtual void observe(double sample) const { (void)sample; }
-  virtual void reset() const {}
 };
 
 /// Condition 1: accumulated kernel time >= budget (the -t flag, default 10 s).
@@ -125,39 +118,12 @@ class UpperBoundStop final : public StopCondition {
   stats::IntervalMethod method_;
 };
 
-/// Future work (§VII): confidence stop on the *median* via a streaming P²
-/// estimate is out of scope; instead MedianGuardStop stops when the recent
-/// window's median has stabilized within tolerance across two half-windows.
-/// Used only by the ablation bench, not by any paper technique.
-class MedianStabilityStop final : public StopCondition {
- public:
-  MedianStabilityStop(double tolerance, std::uint64_t window);
-  [[nodiscard]] StopReason check(const EvalState& state) const override;
-  [[nodiscard]] std::string name() const override;
-
-  void observe(double sample) const override;
-  void reset() const override;
-
- private:
-  double tolerance_;
-  std::uint64_t window_;
-  // Mutable ring of recent samples: check() is const for interface
-  // uniformity, observe() maintains state.
-  mutable std::vector<double> recent_;
-};
-
 /// Ordered set of stop conditions; first condition that fires wins.
 class StopSet {
  public:
   void add(std::shared_ptr<const StopCondition> condition);
 
   [[nodiscard]] StopReason check(const EvalState& state) const;
-
-  /// Feed a raw sample to every condition (no-op for stateless ones).
-  void observe(double sample) const;
-
-  /// Reset every condition's sample state (new evaluation loop).
-  void reset() const;
 
   [[nodiscard]] std::size_t size() const { return conditions_.size(); }
   [[nodiscard]] const std::vector<std::shared_ptr<const StopCondition>>& conditions() const {

@@ -184,11 +184,6 @@ SurrogateScheduler::SurrogateScheduler(TunerOptions options)
   if (options_.invocations == 0) {
     throw std::invalid_argument("SurrogateScheduler: invocations must be positive");
   }
-  if (!options_.extra_outer_stops.empty()) {
-    // The confirm race reuses RacingScheduler, which owns the outer loop.
-    throw std::invalid_argument(
-        "SurrogateScheduler: extra outer stop conditions are not supported");
-  }
 }
 
 SurrogateScheduler::State SurrogateScheduler::init(const SearchSpace& space) const {

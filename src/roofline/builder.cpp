@@ -16,9 +16,6 @@ namespace {
 
 core::TunerOptions tuning_options(const BuilderOptions& options) {
   core::TunerOptions t = options.tuner;
-  t.confidence_stop = options.confidence_stop;
-  t.inner_prune = options.inner_prune;
-  t.outer_prune = options.outer_prune;
   t.prune_min_count = options.prune_min_count;
   return t;
 }

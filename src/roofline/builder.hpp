@@ -11,6 +11,7 @@
 
 #include "core/autotuner.hpp"
 #include "core/evaluator.hpp"
+#include "core/techniques.hpp"
 #include "roofline/roofline.hpp"
 #include "simhw/machine.hpp"
 #include "simhw/sim_backend.hpp"
@@ -18,13 +19,10 @@
 namespace rooftune::roofline {
 
 struct BuilderOptions {
-  core::TunerOptions tuner;   ///< Table I base configuration
-  /// Technique for the DGEMM/TRIAD searches; the paper's recommended
-  /// configuration is C+I+Outer with a minimum prune count.
-  bool confidence_stop = true;
-  bool inner_prune = true;
-  bool outer_prune = true;
-  std::uint64_t prune_min_count = 10;
+  /// Tuner for the DGEMM/TRIAD searches; defaults to the paper's
+  /// recommended C+I+Outer on the Table I base configuration.
+  core::TunerOptions tuner = core::technique_options(core::Technique::CIOuter);
+  std::uint64_t prune_min_count = 10;  ///< overrides tuner.prune_min_count
   /// A TRIAD configuration counts as DRAM-resident when its working set is
   /// at least this multiple of the reachable L3 capacity.
   double dram_working_set_factor = 8.0;

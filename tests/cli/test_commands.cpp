@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace rooftune::cli {
 namespace {
@@ -100,6 +101,32 @@ TEST(Cli, RooflineProducesUtilizationTable) {
   EXPECT_NE(r.out.find("DRAM 2 sockets"), std::string::npos);
   EXPECT_NE(r.out.find("Utilization"), std::string::npos);
   EXPECT_NE(r.out.find("Roofline: gold6148"), std::string::npos);  // ASCII plot
+}
+
+/// The first compute ceiling's tuning time in `roofline --json` output.
+double dgemm_tuning_seconds(const std::string& json) {
+  const std::string key = "\"tuning_time_seconds\":";
+  const auto at = json.find(key);
+  EXPECT_NE(at, std::string::npos) << json;
+  return at == std::string::npos ? 0.0 : std::stod(json.substr(at + key.size()));
+}
+
+TEST(Cli, RooflineHonoursTechnique) {
+  const auto recommended = run({"roofline", "--machine", "2650v4", "--json"});
+  ASSERT_EQ(recommended.code, 0) << recommended.err;
+  // C+I+O with a minimum prune count of 10 is the default; naming it
+  // changes nothing, and the default run keeps its pinned search cost.
+  const auto explicit_cio = run({"roofline", "--machine", "2650v4", "--json",
+                                 "--technique", "c+i+o", "--min-count", "10"});
+  EXPECT_EQ(explicit_cio.out, recommended.out);
+  EXPECT_NEAR(dgemm_tuning_seconds(recommended.out), 32.3590113634, 1e-6);
+  // The fixed-sample Default technique runs every configuration to its
+  // iteration cap, so the same ceiling costs far more tuning time.
+  const auto fixed = run({"roofline", "--machine", "2650v4", "--json",
+                          "--technique", "default"});
+  ASSERT_EQ(fixed.code, 0) << fixed.err;
+  EXPECT_GT(dgemm_tuning_seconds(fixed.out),
+            10.0 * dgemm_tuning_seconds(recommended.out));
 }
 
 }  // namespace

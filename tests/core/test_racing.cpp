@@ -66,13 +66,6 @@ TEST(RacingScheduler, RejectsZeroInvocations) {
   EXPECT_THROW(RacingScheduler{options}, std::invalid_argument);
 }
 
-TEST(RacingScheduler, RejectsExtraOuterStops) {
-  TunerOptions options;
-  options.extra_outer_stops.push_back(
-      [] { return std::shared_ptr<const StopCondition>(); });
-  EXPECT_THROW(RacingScheduler{options}, std::invalid_argument);
-}
-
 TEST(RacingScheduler, EliminatesClearLosersAfterOneRound) {
   // Four configurations with distinct zero-variance values: the first round
   // already carries a degenerate iteration-level CI, so every loser dies

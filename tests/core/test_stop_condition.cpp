@@ -140,34 +140,6 @@ TEST(UpperBoundStop, TrendGuardDefersPruning) {
   EXPECT_EQ(unguarded.check(s), StopReason::PrunedByBest);
 }
 
-// ---- Median stability (future work, §VII) -----------------------------------
-
-TEST(MedianStabilityStop, FiresOnStableMedian) {
-  const MedianStabilityStop stop{0.01, 16};
-  for (int i = 0; i < 16; ++i) stop.observe(100.0 + (i % 2 == 0 ? 0.1 : -0.1));
-  const auto m = from({100.0});
-  EXPECT_EQ(stop.check(state_of(m)), StopReason::Converged);
-}
-
-TEST(MedianStabilityStop, SilentWhileWindowFills) {
-  const MedianStabilityStop stop{0.01, 16};
-  for (int i = 0; i < 10; ++i) stop.observe(100.0);
-  const auto m = from({100.0});
-  EXPECT_EQ(stop.check(state_of(m)), StopReason::None);
-}
-
-TEST(MedianStabilityStop, DetectsDriftingMedian) {
-  const MedianStabilityStop stop{0.01, 16};
-  for (int i = 0; i < 16; ++i) stop.observe(100.0 + 3.0 * i);
-  const auto m = from({100.0});
-  EXPECT_EQ(stop.check(state_of(m)), StopReason::None);
-}
-
-TEST(MedianStabilityStop, Validation) {
-  EXPECT_THROW(MedianStabilityStop(0.0, 16), std::invalid_argument);
-  EXPECT_THROW(MedianStabilityStop(0.01, 4), std::invalid_argument);
-}
-
 // ---- StopSet ----------------------------------------------------------------
 
 TEST(StopSet, FirstFiringConditionWins) {

@@ -35,6 +35,12 @@ struct TableVCase {
   std::uint64_t min_count;
 };
 
+// Names the ctest case after the machine; the default printer would dump
+// the struct's bytes, pointer included, which change from run to run.
+void PrintTo(const TableVCase& c, std::ostream* os) {
+  *os << c.machine << "-S" << c.sockets;
+}
+
 class TableVReproduction : public ::testing::TestWithParam<TableVCase> {};
 
 TEST_P(TableVReproduction, FindsPaperOptimum) {

@@ -30,6 +30,12 @@ struct SeedCase {
   std::uint64_t min_count;
 };
 
+// Names the ctest case after the machine; the default printer would dump
+// the struct's bytes, pointer included, which change from run to run.
+void PrintTo(const SeedCase& c, std::ostream* os) {
+  *os << c.machine << "-S" << c.sockets;
+}
+
 class SeedSweep : public ::testing::TestWithParam<SeedCase> {};
 
 TEST_P(SeedSweep, ArgmaxStableAcrossSeeds) {

@@ -25,6 +25,12 @@ struct TriadCase {
   double l3;    // Table VI B_L3
 };
 
+// Names the ctest case after the machine; the default printer would dump
+// the struct's bytes, pointer included, which change from run to run.
+void PrintTo(const TriadCase& c, std::ostream* os) {
+  *os << c.machine << "-S" << c.sockets;
+}
+
 class TableVIReproduction : public ::testing::TestWithParam<TriadCase> {};
 
 TEST_P(TableVIReproduction, BandwidthsWithin3Percent) {

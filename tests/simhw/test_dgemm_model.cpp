@@ -19,6 +19,12 @@ struct AnchorCase {
   double peak_eff;
 };
 
+// Names the ctest case after the machine; the default printer would dump
+// the struct's bytes, pointer included, which change from run to run.
+void PrintTo(const AnchorCase& c, std::ostream* os) {
+  *os << c.machine << "-S" << c.sockets;
+}
+
 class SurfaceAnchorTest : public ::testing::TestWithParam<AnchorCase> {};
 
 TEST_P(SurfaceAnchorTest, GridArgmaxMatchesTableV) {

@@ -14,6 +14,10 @@ struct PeakCase {
   double bt_system;   // GB/s, full system (Table III convention)
 };
 
+// Names the ctest case after the machine; the default printer would dump
+// the struct's bytes, pointer included, which change from run to run.
+void PrintTo(const PeakCase& c, std::ostream* os) { *os << c.machine; }
+
 class TheoreticalPeakTest : public ::testing::TestWithParam<PeakCase> {};
 
 TEST_P(TheoreticalPeakTest, MatchesTableIII) {

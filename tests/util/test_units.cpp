@@ -50,6 +50,10 @@ struct ParseCase {
   std::uint64_t expected;
 };
 
+// Names the ctest case after the input text; the default printer would dump
+// the struct's bytes, pointer included, which change from run to run.
+void PrintTo(const ParseCase& c, std::ostream* os) { *os << c.text; }
+
 class ParseBytesTest : public ::testing::TestWithParam<ParseCase> {};
 
 TEST_P(ParseBytesTest, Parses) {
