@@ -66,7 +66,6 @@ core::TuningRun run_once(const core::SearchSpace& space,
   core::ParallelOptions parallel;
   parallel.workers = workers;
   parallel.deterministic = true;
-  parallel.scheduler = core::SchedulerMode::Pipeline;
   parallel.lookahead = 4;
 
   core::ParallelEvaluator evaluator(factory, tuner_options(), parallel);

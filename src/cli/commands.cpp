@@ -4,6 +4,7 @@
 #include <fstream>
 #include <memory>
 #include <ostream>
+#include <span>
 
 #include "cli/args.hpp"
 #include "cli/kernels.hpp"
@@ -141,13 +142,9 @@ void add_parallel_options(ArgParser& parser) {
                     "only — results and journals stay bit-identical for any "
                     "worker count (docs/performance.md)");
   parser.add_option("lookahead",
-                    "pipeline scheduler: epochs allowed in flight at once "
-                    "(default 1 = wave-equivalent schedule; higher overlaps "
-                    "epochs across stragglers); requires --workers");
-  parser.add_option("sched",
-                    "parallel epoch engine: pipeline (persistent "
-                    "work-stealing pool, default) | wave (legacy per-epoch "
-                    "thread spawn/join); requires --workers");
+                    "epochs allowed in flight at once (default 1 = each "
+                    "epoch starts after every earlier one committed; higher "
+                    "overlaps epochs across stragglers); requires --workers");
   parser.add_flag("pin-workers",
                   "pin pool workers to CPUs once at pool construction; "
                   "requires --workers");
@@ -388,9 +385,6 @@ std::optional<core::ParallelOptions> parallel_options_from(const ArgParser& pars
     if (parser.get("lookahead").has_value()) {
       throw std::invalid_argument("--lookahead requires --workers");
     }
-    if (parser.get("sched").has_value()) {
-      throw std::invalid_argument("--sched requires --workers");
-    }
     if (parser.has("pin-workers")) {
       throw std::invalid_argument("--pin-workers requires --workers");
     }
@@ -409,10 +403,6 @@ std::optional<core::ParallelOptions> parallel_options_from(const ArgParser& pars
   const auto lookahead = parser.get_int("lookahead", 1);
   if (lookahead < 1) throw std::invalid_argument("--lookahead must be >= 1");
   parallel.lookahead = static_cast<std::size_t>(lookahead);
-  const std::string sched = util::to_lower(parser.get_or("sched", "pipeline"));
-  if (sched == "pipeline") parallel.scheduler = core::SchedulerMode::Pipeline;
-  else if (sched == "wave") parallel.scheduler = core::SchedulerMode::Wave;
-  else throw std::invalid_argument("--sched wants pipeline|wave, got '" + sched + "'");
   parallel.pin_workers = parser.has("pin-workers");
   parallel.sched_stats = parser.has("sched-stats");
   return parallel;
@@ -617,6 +607,15 @@ void add_tune_options(ArgParser& parser, const KernelSpec& kernel) {
   if (kernel.add_options != nullptr) kernel.add_options(parser);
 }
 
+/// Options only the simulated backends read, and options only the native
+/// backends read.  Both sets are registered on every kernel with both
+/// backends, so cmd_tune refuses the set the chosen backend would ignore.
+constexpr const char* kSimOnlyOptions[] = {
+    "machine",         "sockets",   "setup-overhead", "thermal-tau",
+    "throttle-factor", "pkg-power", "dram-power",     "cost-skew",
+    "cost-base",       "sim-counters"};
+constexpr const char* kNativeOnlyOptions[] = {"huge-pages", "custom-machine"};
+
 /// The tuning sequence every kernel shares: options, backend (plus the
 /// per-worker factory on simulated machines), search, journal, profile,
 /// export and report.
@@ -627,6 +626,16 @@ int cmd_tune(const KernelSpec& kernel, const ArgParser& parser, std::ostream& ou
         std::string(kernel.name) +
         ": --native is not supported (its backend models the kernel on "
         "simulated machines only; docs/kernels.md)");
+  }
+  const std::span<const char* const> unread =
+      host_run ? std::span<const char* const>(kSimOnlyOptions)
+               : std::span<const char* const>(kNativeOnlyOptions);
+  for (const char* name : unread) {
+    if (parser.has(name)) {
+      throw std::invalid_argument("--" + std::string(name) +
+                                  " has no effect " +
+                                  (host_run ? "with" : "without") + " --native");
+    }
   }
   auto options = tuner_options_from(parser);
   auto setup = trace_setup_from(parser, options, host_run);
@@ -739,7 +748,7 @@ int cmd_roofline(const ArgParser& parser, std::ostream& out) {
     if (const auto spec = parser.get("custom-machine")) {
       options.native_spec = simhw::parse_machine_spec(*spec);
     }
-    if (!parser.has("small-space")) {
+    if (!parser.has("full-space")) {
       // The full 96-point sweep at 10 s budgets is a cluster-scale job;
       // protect interactive hosts by default.
       options.dgemm_space = core::dgemm_narrowed_space();
@@ -962,9 +971,9 @@ void add_roofline_options(ArgParser& parser) {
   add_tuner_options(parser);
   add_machine_options(parser);
   add_custom_machine_option(parser);
-  parser.add_flag("small-space",
-                  "--native: tune the full reduced DGEMM space instead of the "
-                  "narrowed power-of-two default");
+  parser.add_flag("full-space",
+                  "--native: tune the full 96-point reduced DGEMM space "
+                  "instead of the narrowed power-of-two default");
   parser.add_flag("json", "emit the roofline model as JSON");
   parser.add_option("svg", "write the roofline graph as SVG");
 }

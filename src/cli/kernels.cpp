@@ -31,9 +31,14 @@ int grid_scale(const ArgParser& parser) {
 
 core::SearchSpace dgemm_space(const ArgParser& parser) {
   const int scale = grid_scale(parser);
-  return parser.has("small-space") ? core::dgemm_narrowed_space()
-         : scale > 1               ? core::dgemm_scaled_space(scale)
-                                   : core::dgemm_reduced_space();
+  if (parser.has("small-space")) {
+    if (scale > 1) {
+      throw std::invalid_argument(
+          "--small-space has no --grid-scale variant; drop one of them");
+    }
+    return core::dgemm_narrowed_space();
+  }
+  return scale > 1 ? core::dgemm_scaled_space(scale) : core::dgemm_reduced_space();
 }
 
 KernelSpec::BackendFactory dgemm_sim(const ArgParser& parser,

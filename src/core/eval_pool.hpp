@@ -1,10 +1,10 @@
 #pragma once
 // EvalPool — the persistent worker pool behind ParallelEvaluator's
-// pipeline scheduler.
+// deterministic schedule.
 //
 // Threads are created once (and optionally pinned once, via
-// util::pin_current_thread) and live for the pool's lifetime — racing
-// rounds and surrogate phases stop paying a spawn/join tax per wave.
+// util::pin_current_thread) and live for the pool's lifetime, so epochs,
+// racing rounds and surrogate phases pay no thread spawn/join per epoch.
 // Each worker owns a Chase–Lev deque (util/work_steal.hpp); submit()
 // round-robins tasks into small mutex-protected inboxes that workers
 // drain into their own deque, so the submitting coordinator never touches

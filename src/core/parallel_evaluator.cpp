@@ -70,7 +70,6 @@ ParallelEvaluator::ParallelEvaluator(BackendFactory factory, TunerOptions option
 }
 
 std::size_t ParallelEvaluator::lookahead() const {
-  if (parallel_.scheduler != SchedulerMode::Pipeline) return 1;
   return std::max<std::size_t>(1, parallel_.lookahead);
 }
 
@@ -104,7 +103,6 @@ std::vector<std::unique_ptr<Backend>> ParallelEvaluator::make_backends(
 
 std::unique_ptr<EvalPool> ParallelEvaluator::make_pool(
     const std::vector<std::unique_ptr<Backend>>& backends) const {
-  if (parallel_.scheduler != SchedulerMode::Pipeline) return nullptr;
   if (backends.size() < 2) return nullptr;  // inline = the serial schedule
   EvalPool::Options options;
   options.workers = backends.size();
@@ -118,8 +116,7 @@ void ParallelEvaluator::attach_sched_stats(
   if (!parallel_.sched_stats) return;
   SchedulerStats stats;
   if (pool != nullptr) stats = pool->stats();
-  stats.mode =
-      parallel_.scheduler == SchedulerMode::Pipeline ? "pipeline" : "wave";
+  stats.mode = "pipeline";
   stats.workers = pool != nullptr ? pool->workers() : backend_count;
   stats.lookahead = lookahead();
   // Inline pipeline (no pool) executes on the coordinator: the committed
@@ -185,12 +182,8 @@ TuningRun ParallelEvaluator::run_impl(const ConfigAt& config_at, std::size_t n) 
   std::atomic<double> incumbent{kNoIncumbent};
 
   if (parallel_.deterministic) {
-    if (parallel_.scheduler == SchedulerMode::Pipeline) {
-      evaluate_pipeline(pool.get(), backends, config_at, n, incumbent, results,
-                        &accounting);
-    } else {
-      evaluate_waves(backends, config_at, n, incumbent, results);
-    }
+    evaluate_pipeline(pool.get(), backends, config_at, n, incumbent, results,
+                      &accounting);
   } else {
     // Live mode: workers pull from a shared queue, read the freshest
     // incumbent per configuration and publish completions immediately.
@@ -267,77 +260,6 @@ TuningRun ParallelEvaluator::run_impl(const ConfigAt& config_at, std::size_t n) 
   return run;
 }
 
-void ParallelEvaluator::evaluate_waves(
-    std::vector<std::unique_ptr<Backend>>& backends, const ConfigAt& config_at,
-    std::size_t n, std::atomic<double>& incumbent,
-    std::vector<std::optional<ConfigResult>>& results) const {
-  std::exception_ptr failure;
-  std::mutex failure_mutex;
-  const std::size_t wave = std::max<std::size_t>(1, parallel_.wave);
-
-  for (std::size_t lo = 0; lo < n && !failure; lo += wave) {
-    const std::size_t hi = std::min(n, lo + wave);
-    const std::uint64_t epoch = static_cast<std::uint64_t>(lo / wave);
-    // Every configuration in the wave sees the same frozen incumbent, so
-    // which worker runs which configuration cannot influence any result.
-    const double frozen = incumbent.load(std::memory_order_acquire);
-    std::atomic<std::size_t> next{lo};
-    const auto body = [&](std::size_t worker) noexcept {
-      try {
-        Backend& backend = *backends[worker];
-        for (;;) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= hi) break;
-          const Configuration config = config_at(i);
-          TraceContext ctx;
-          ctx.epoch = epoch;
-          ctx.config_ordinal = i;
-          ConfigResult result = run_configuration(backend, config, options_,
-                                                  as_incumbent(frozen), ctx);
-          results[i].emplace(std::move(result));
-        }
-      } catch (...) {
-        const std::scoped_lock lock(failure_mutex);
-        if (!failure) failure = std::current_exception();
-      }
-    };
-    const std::size_t active = std::min(backends.size(), hi - lo);
-    std::vector<std::thread> threads;
-    threads.reserve(active > 0 ? active - 1 : 0);
-    for (std::size_t w = 1; w < active; ++w) threads.emplace_back(body, w);
-    body(0);
-    for (std::thread& t : threads) t.join();
-    if (failure) break;
-
-    // Ordered reduction over the finished wave feeds the next wave's
-    // frozen incumbent — independent of worker count and completion
-    // order, hence bit-reproducible.  The same reduction is where
-    // incumbent updates become journal events: emitted here, in config
-    // order on one thread, they are deterministic too.
-    for (std::size_t i = lo; i < hi; ++i) {
-      const double value = results[i]->value();
-      const bool improved = atomic_max(incumbent, value);
-      if (improved) {
-        util::Profiler::instance().instant(util::ProfileCategory::Incumbent, i);
-      }
-      if (improved && options_.trace) {
-        TraceEvent event;
-        event.kind = TraceEvent::Kind::IncumbentUpdate;
-        event.epoch = epoch;
-        event.config_ordinal = i;
-        event.invocation = results[i]->invocations.empty()
-                               ? 0
-                               : results[i]->invocations.size() - 1;
-        event.rank = 7;
-        event.config = config_at(i);
-        event.value = value;
-        options_.trace->emit(event);
-      }
-    }
-  }
-  if (failure) std::rethrow_exception(failure);
-}
-
 void ParallelEvaluator::evaluate_pipeline(
     EvalPool* pool, std::vector<std::unique_ptr<Backend>>& backends,
     const ConfigAt& config_at, std::size_t n, std::atomic<double>& incumbent,
@@ -356,8 +278,9 @@ void ParallelEvaluator::evaluate_pipeline(
 
   // snapshots[k] = incumbent value once k epochs have committed (index 0 =
   // phase entry).  Epoch e executes against snapshots[max(0, e+1-window)]
-  // — the wave-mode frozen incumbent when window == 1 — so every task's
-  // input is a pure function of the schedule, never of worker timing.
+  // — the incumbent after every earlier epoch when window == 1 — so every
+  // task's input is a pure function of the schedule, never of worker
+  // timing.
   std::vector<double> snapshots(epochs + 1, kNoIncumbent);
   snapshots[0] = incumbent.load(std::memory_order_acquire);
 
@@ -443,7 +366,7 @@ void ParallelEvaluator::evaluate_pipeline(
 
       // Retire every contiguous completed result, strictly in config
       // order.  This is the only place the incumbent advances, so the
-      // rank-7 events replicate the wave reduction exactly.
+      // rank-7 events follow config order, whatever the worker count.
       while (committed < n) {
         {
           const std::scoped_lock lock(sync.mutex);
@@ -519,84 +442,6 @@ std::optional<util::ArenaStats> ParallelEvaluator::aggregate_arena_stats(
   return total;
 }
 
-void ParallelEvaluator::race_waves(std::vector<std::unique_ptr<Backend>>& backends,
-                                   const RacingScheduler& scheduler,
-                                   RacingScheduler::State& state) const {
-  std::exception_ptr failure;
-  std::mutex failure_mutex;
-  const TunerOptions& options = scheduler.options();
-
-  for (;;) {
-    const auto blocks = RacingScheduler::round_blocks(state);
-    if (blocks.empty()) break;
-    util::ProfileSpan round_span(util::ProfileCategory::RacingRound,
-                                 state.round);
-    for (const auto& block : blocks) {
-      // The incumbent refreshes at block boundaries only (an ordered
-      // reduction over everything already run), so which worker ran which
-      // entry cannot influence any entry's evaluation.
-      const auto incumbent = RacingScheduler::frozen_incumbent(state);
-      if (options.trace && incumbent.has_value()) {
-        // Emitted on the coordinating thread before the block fans out —
-        // same event, same sort key as the serial scheduler's step().
-        TraceEvent event;
-        event.kind = TraceEvent::Kind::IncumbentUpdate;
-        event.epoch = state.round;
-        event.config_ordinal = block.front();
-        event.invocation = state.round;
-        event.rank = 0;
-        event.value = *incumbent;
-        options.trace->emit(event);
-      }
-      // Pre-invocation skips are decided here, on the coordinating thread
-      // with the frozen incumbent — the same single-threaded prologue the
-      // serial scheduler uses, so worker count cannot affect them.
-      scheduler.apply_counter_skips(state, block, incumbent, *backends[0]);
-
-      std::atomic<std::size_t> next{0};
-      const auto body = [&](std::size_t worker) noexcept {
-        try {
-          Backend& backend = *backends[worker];
-          for (;;) {
-            const std::size_t j = next.fetch_add(1, std::memory_order_relaxed);
-            if (j >= block.size()) break;
-            if (state.entries[block[j]].status != RacingScheduler::Status::Racing) {
-              continue;
-            }
-            scheduler.run_entry_invocation(backend, state.entries[block[j]],
-                                           incumbent, block[j]);
-          }
-        } catch (...) {
-          const std::scoped_lock lock(failure_mutex);
-          if (!failure) failure = std::current_exception();
-        }
-      };
-
-      // Count the entries that will actually run — skipped/finished ones
-      // cost no thread.  A block of 16 with one survivor used to spawn
-      // min(workers, 16) threads of which all but one exited immediately.
-      std::size_t runnable = 0;
-      for (const std::size_t i : block) {
-        if (state.entries[i].status == RacingScheduler::Status::Racing) {
-          ++runnable;
-        }
-      }
-      if (runnable == 0) continue;
-      const std::size_t active = std::min(backends.size(), runnable);
-      std::vector<std::thread> threads;
-      threads.reserve(active > 0 ? active - 1 : 0);
-      for (std::size_t w = 1; w < active; ++w) threads.emplace_back(body, w);
-      body(0);
-      for (std::thread& t : threads) t.join();
-      if (failure) break;
-    }
-
-    if (failure) break;
-    if (!scheduler.conclude_round(state)) break;
-  }
-  if (failure) std::rethrow_exception(failure);
-}
-
 void ParallelEvaluator::race_pipeline(
     EvalPool* pool, std::vector<std::unique_ptr<Backend>>& backends,
     const RacingScheduler& scheduler, RacingScheduler::State& state,
@@ -626,8 +471,8 @@ void ParallelEvaluator::race_pipeline(
 
     // snapshots[k] = frozen incumbent after k blocks of this round have
     // committed (index 0 = round entry).  Block b dispatches against
-    // snapshots[max(0, b+1-window)]; at window 1 that is exactly the
-    // wave-mode per-block refresh.  The window resets each round — the
+    // snapshots[max(0, b+1-window)]; at window 1 that is the serial
+    // scheduler's per-block refresh.  The window resets each round — the
     // round barrier stays, because conclude_round needs the whole round.
     std::vector<std::optional<double>> snapshots(nblocks + 1);
     snapshots[0] = RacingScheduler::frozen_incumbent(state);
@@ -789,11 +634,7 @@ TuningRun ParallelEvaluator::run_racing(
   // are bit-identical for any worker count.
   const RacingScheduler scheduler(options_);
   RacingScheduler::State state = scheduler.init(configs);
-  if (parallel_.scheduler == SchedulerMode::Pipeline) {
-    race_pipeline(pool, backends, scheduler, state, accounting);
-  } else {
-    race_waves(backends, scheduler, state);
-  }
+  race_pipeline(pool, backends, scheduler, state, accounting);
   return RacingScheduler::finish(std::move(state));
 }
 
@@ -807,7 +648,6 @@ TuningRun ParallelEvaluator::run_surrogate(const SearchSpace& space) const {
   auto backends = make_backends(
       std::min(seeds, std::max(wave, RacingScheduler::kBlock) * lookahead()));
   const std::unique_ptr<EvalPool> pool = make_pool(backends);
-  const bool pipelined = parallel_.scheduler == SchedulerMode::Pipeline;
   CommitAccounting accounting;
 
   // Seed phase: deterministic waves regardless of ParallelOptions::
@@ -823,12 +663,8 @@ TuningRun ParallelEvaluator::run_surrogate(const SearchSpace& space) const {
   };
   {
     util::ProfileSpan seed_span(util::ProfileCategory::SurrogateSeed, seeds);
-    if (pipelined) {
-      evaluate_pipeline(pool.get(), backends, seed_at, seeds, incumbent,
-                        results, &accounting);
-    } else {
-      evaluate_waves(backends, seed_at, seeds, incumbent, results);
-    }
+    evaluate_pipeline(pool.get(), backends, seed_at, seeds, incumbent, results,
+                      &accounting);
   }
   for (auto& result : results) {
     SurrogateScheduler::normalize_seed_time(*result);
@@ -851,11 +687,7 @@ TuningRun ParallelEvaluator::run_surrogate(const SearchSpace& space) const {
   {
     util::ProfileSpan confirm_span(util::ProfileCategory::SurrogateConfirm,
                                    state.confirm_indices.size());
-    if (pipelined) {
-      race_pipeline(pool.get(), backends, confirm, state.race, &accounting);
-    } else {
-      race_waves(backends, confirm, state.race);
-    }
+    race_pipeline(pool.get(), backends, confirm, state.race, &accounting);
   }
 
   TuningRun run = SurrogateScheduler::finish(std::move(state));

@@ -10,34 +10,28 @@
 // starting configuration i sees the best value any worker has finished by
 // then.
 //
-// Scheduling, two axes:
+// Live vs deterministic (ParallelOptions::deterministic).  Live workers
+// pull from a shared queue and publish incumbents as they finish — fastest
+// incumbent propagation, but *which* incumbent a pruned configuration saw
+// depends on completion order, so pruned configurations' statistics may
+// vary run to run.  Deterministic mode freezes the incumbent per epoch
+// (wave of `wave` configs, or racing block), making results
+// bit-reproducible for any worker count.
 //
-//  * Live vs deterministic (ParallelOptions::deterministic).  Live workers
-//    pull from a shared queue and publish incumbents as they finish —
-//    fastest incumbent propagation, but *which* incumbent a pruned
-//    configuration saw depends on completion order, so pruned
-//    configurations' statistics may vary run to run.  Deterministic mode
-//    freezes the incumbent per epoch (wave of `wave` configs, or racing
-//    block), making results bit-reproducible for any worker count.
-//
-//  * Wave vs pipeline (ParallelOptions::scheduler), deterministic paths
-//    only.  Wave is the legacy barrier schedule: spawn `workers` threads,
-//    run one epoch, join, reduce, repeat — one straggler idles the whole
-//    pool at every barrier and thread churn taxes every racing round.
-//    Pipeline (the default) runs the same logical schedule on a persistent
-//    work-stealing pool (core::EvalPool): tasks carry their logical sort
-//    key (epoch, ordinal), complete out of order, and a coordinator-side
-//    commit stage retires them strictly in key order.  With lookahead L,
-//    epoch e may execute as soon as epoch e-L has fully committed, against
-//    the incumbent snapshot recorded at that commit — so configs of epoch
-//    e see the incumbent as of epoch e-L, a pure function of the schedule.
-//    L = 1 reproduces the wave schedule's results AND trace journals bit
-//    for bit (same frozen incumbents, same events, same sort keys) while
-//    already eliminating per-epoch thread spawn/join; L > 1 additionally
-//    overlaps epochs — workers start epoch e+1 while epoch e stragglers
-//    finish — at the cost of an incumbent that lags L-1 extra epochs
-//    (slightly less prune bite, still bit-reproducible for any worker
-//    count at fixed L).
+// Deterministic epochs (exhaustive waves, racing rounds, surrogate phases)
+// run on a persistent work-stealing pool (core::EvalPool): tasks carry
+// their logical sort key (epoch, ordinal), complete out of order, and a
+// coordinator-side commit stage retires them strictly in key order.  With
+// lookahead L, epoch e may execute as soon as epoch e-L has fully
+// committed, against the incumbent snapshot recorded at that commit — so
+// configs of epoch e see the incumbent as of epoch e-L, a pure function of
+// the schedule.  At L = 1 each epoch sees the incumbent of every earlier
+// epoch; with `wave` = 1 (and for racing at any `wave`) that is the serial
+// Autotuner's schedule, and the trace journal matches the serial journal
+// byte for byte.  L > 1 overlaps epochs — workers
+// start epoch e+1 while epoch e stragglers finish — at the cost of an
+// incumbent that lags L-1 extra epochs (slightly less prune bite, still
+// bit-reproducible for any worker count at fixed L).
 //
 // Configurations are pulled lazily through an index-addressed getter (a
 // SpaceView over the bijection, or a caller-supplied vector), so evaluating
@@ -64,12 +58,6 @@
 
 namespace rooftune::core {
 
-/// How deterministic epochs are executed (see file comment).
-enum class SchedulerMode {
-  Wave,      ///< legacy: spawn/join a thread team per epoch (barrier)
-  Pipeline,  ///< persistent pool, out-of-order execution, in-order commit
-};
-
 struct ParallelOptions {
   /// Worker count; 0 = std::thread::hardware_concurrency().
   std::size_t workers = 0;
@@ -80,19 +68,15 @@ struct ParallelOptions {
   /// more often.  Must not depend on the worker count, or determinism
   /// across worker counts is lost.
   std::size_t wave = 16;
-  /// Epoch execution engine for the deterministic paths (exhaustive waves,
-  /// racing rounds, surrogate phases).  Pipeline at lookahead 1 is
-  /// result- and journal-identical to Wave; Wave is kept for A/B
-  /// measurement (bench/ablation_pipeline) and as an escape hatch.
-  SchedulerMode scheduler = SchedulerMode::Pipeline;
-  /// Pipeline mode: epochs allowed in flight at once.  1 = wave-equivalent
-  /// commits; N lets workers start epoch e+1 while epoch e stragglers
-  /// finish, with the frozen incumbent lagging N-1 extra epochs.  Results
+  /// Epochs allowed in flight at once.  1 = each epoch waits for every
+  /// earlier epoch to commit; N lets workers start epoch e+1 while epoch e
+  /// stragglers finish, with the frozen incumbent lagging N-1 extra
+  /// epochs.  Results
   /// remain bit-reproducible across worker counts and reruns at any fixed
   /// value; journals are a function of the lookahead itself.
   std::size_t lookahead = 1;
-  /// Pin pool workers to CPUs once at pool construction (pipeline mode;
-  /// soft no-op where unsupported).
+  /// Pin pool workers to CPUs once at pool construction (soft no-op where
+  /// unsupported).
   bool pin_workers = false;
   /// Collect SchedulerStats into TuningRun::sched.  The counters are
   /// wall-clock measurements — nondeterministic by nature — which is why
@@ -135,7 +119,7 @@ class ParallelEvaluator {
     std::uint64_t tasks = 0;
   };
 
-  /// Clamped ParallelOptions::lookahead (>= 1; 1 in wave mode).
+  /// Clamped ParallelOptions::lookahead (>= 1).
   [[nodiscard]] std::size_t lookahead() const;
 
   /// Spawn the worker backend pool: probes reentrancy with the first
@@ -146,10 +130,10 @@ class ParallelEvaluator {
   [[nodiscard]] std::vector<std::unique_ptr<Backend>> make_backends(
       std::size_t max_workers) const;
 
-  /// The persistent pool for the pipeline scheduler, or null when the
-  /// schedule is serial (one backend) or in wave/live mode.  Null pool =
-  /// the pipeline drivers run tasks inline on the coordinator, which is
-  /// exactly the serial schedule.
+  /// The persistent pool for the deterministic schedule, or null when the
+  /// schedule is serial (one backend).  Null pool = the pipeline drivers
+  /// run tasks inline on the coordinator, which is exactly the serial
+  /// schedule.
   [[nodiscard]] std::unique_ptr<EvalPool> make_pool(
       const std::vector<std::unique_ptr<Backend>>& backends) const;
 
@@ -165,18 +149,11 @@ class ParallelEvaluator {
   /// Exhaustive schedule over configurations [0, n) pulled from `config_at`.
   [[nodiscard]] TuningRun run_impl(const ConfigAt& config_at, std::size_t n) const;
 
-  /// Deterministic wave loop: epoch = wave index, frozen incumbent per
-  /// wave, ordered reduction emitting rank-7 incumbent updates.  Fills
+  /// Deterministic exhaustive schedule: epoch = wave index, out-of-order
+  /// execution, in-order commit emitting rank-7 incumbent updates,
+  /// `lookahead` epochs in flight.  Epoch e's frozen incumbent is the
+  /// snapshot recorded when epoch e-lookahead fully committed.  Fills
   /// `results[0, n)`; `incumbent` carries state in and out.
-  void evaluate_waves(std::vector<std::unique_ptr<Backend>>& backends,
-                      const ConfigAt& config_at, std::size_t n,
-                      std::atomic<double>& incumbent,
-                      std::vector<std::optional<ConfigResult>>& results) const;
-
-  /// The same logical schedule as evaluate_waves on the persistent pool:
-  /// out-of-order execution, in-order commit, `lookahead` epochs in
-  /// flight.  Epoch e's frozen incumbent is the snapshot recorded when
-  /// epoch e-lookahead fully committed (the wave value at lookahead 1).
   void evaluate_pipeline(EvalPool* pool,
                          std::vector<std::unique_ptr<Backend>>& backends,
                          const ConfigAt& config_at, std::size_t n,
@@ -184,14 +161,9 @@ class ParallelEvaluator {
                          std::vector<std::optional<ConfigResult>>& results,
                          CommitAccounting* accounting) const;
 
-  /// Drive one race to completion over the pool (rounds = waves; see
-  /// run_racing).  Shared by the racing strategy and the surrogate confirm
-  /// phase, which passes a scheduler built from offset-traced options.
-  void race_waves(std::vector<std::unique_ptr<Backend>>& backends,
-                  const RacingScheduler& scheduler,
-                  RacingScheduler::State& state) const;
-
-  /// race_waves on the persistent pool: blocks within a round are the
+  /// Drive one race to completion over the pool.  Shared by the racing
+  /// strategy and the surrogate confirm phase, which passes a scheduler
+  /// built from offset-traced options.  Blocks within a round are the
   /// pipeline unit — block b dispatches (prologue: rank-0 incumbent event
   /// + counter skips, on the coordinator) exactly when block b-lookahead
   /// has committed, workers run detached invocations, and the coordinator
@@ -203,7 +175,7 @@ class ParallelEvaluator {
                      RacingScheduler::State& state,
                      CommitAccounting* accounting) const;
 
-  /// Racing strategy: each round is one deterministic wave over the pool
+  /// Racing strategy: each round is one deterministic epoch over the pool
   /// (see core/racing.hpp).  Live and deterministic mode coincide here, and
   /// results are bit-identical for any worker count.
   [[nodiscard]] TuningRun run_racing(
@@ -212,7 +184,7 @@ class ParallelEvaluator {
       CommitAccounting* accounting) const;
 
   /// Surrogate strategy: seed batch in deterministic waves, fit/prune on
-  /// the coordinating thread, confirm race via race_waves/race_pipeline.
+  /// the coordinating thread, confirm race via race_pipeline.
   /// Always bit-reproducible across worker counts, like racing.  One pool
   /// serves both phases — seed and confirm tasks flow through the same
   /// threads with no teardown between phases.

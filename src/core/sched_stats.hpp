@@ -15,9 +15,9 @@
 namespace rooftune::core {
 
 struct SchedulerStats {
-  std::string mode;            ///< "wave" or "pipeline"
+  std::string mode;            ///< always "pipeline" (kept for readers)
   std::uint64_t workers = 0;   ///< pool width actually used
-  std::uint64_t lookahead = 0; ///< epochs in flight (1 = wave-equivalent)
+  std::uint64_t lookahead = 0; ///< epochs in flight
   std::uint64_t tasks = 0;     ///< tasks executed across the pool
   std::uint64_t steals = 0;    ///< tasks obtained from another worker's deque
   std::uint64_t parks = 0;     ///< times a worker slept for lack of work
@@ -27,7 +27,7 @@ struct SchedulerStats {
   std::uint64_t span_ns = 0;   ///< pool lifetime (construction to stats())
 
   /// Fraction of total worker-time spent without work; the headline number
-  /// the pipeline ablation drives down versus wave scheduling.
+  /// the pipeline ablation drives down from lookahead 1 to lookahead 8.
   [[nodiscard]] double idle_fraction() const {
     const double denom =
         static_cast<double>(workers) * static_cast<double>(span_ns);

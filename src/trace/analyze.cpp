@@ -407,7 +407,7 @@ across worker counts.  Record types ("t" field):
               opened — the reason OI-meas columns are missing
   incumbent   a value became the schedule's best ("value"; "cfg" when a
               specific configuration produced it; rank 0 = frozen at a
-              racing/wave block boundary, rank 7 = after a config finished)
+              racing block boundary, rank 7 = after a config finished)
   stop        a stop condition ended a loop: "level" iteration|invocation,
               "reason" (max-time|max-count|converged|pruned-by-best|
               counter-bound|none),
@@ -442,8 +442,8 @@ across worker counts.  Record types ("t" field):
               inflated by the multiplex scaling factor), the "incumbent"
               it could not beat, and the invocation "count"/"mean" so far
   scheduler   parallel-pipeline accounting, written just before the summary
-              and only on request (--sched-stats): "mode" (wave|pipeline|
-              inline), "workers","lookahead","tasks","steals","parks",
+              and only on request (--sched-stats): "mode" (always
+              "pipeline"), "workers","lookahead","tasks","steals","parks",
               "idle_ns","busy_ns","commit_wait_ns","span_ns",
               "idle_fraction".  The one record carrying wall-clock numbers —
               journals that include it are exempt from the bit-identity

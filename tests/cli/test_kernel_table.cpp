@@ -119,6 +119,8 @@ TEST(CliOptions, CommandsRejectOptionsTheyDoNotRead) {
       {"spmv", "--small-space"},
       {"pipe", "--machine", "gold6148"},
       {"roofline", "--workers", "2"},
+      {"roofline", "--small-space"},
+      {"dgemm", "--sched", "wave", "--workers", "2"},
   };
   for (const auto& args : cases) {
     const auto r = run(args);
@@ -126,6 +128,58 @@ TEST(CliOptions, CommandsRejectOptionsTheyDoNotRead) {
     EXPECT_NE(r.err.find("unknown option --" + args[1].substr(2)), std::string::npos)
         << args[0] << ' ' << args[1] << ": " << r.err;
   }
+}
+
+// dgemm and triad register both the simulator's and the native backend's
+// options; the backend a run selects refuses the other's, instead of
+// ignoring them.  The refusal comes before any backend is built, so the
+// --native cases run no host kernel.
+TEST(CliOptions, BackendRefusesOptionsItNeverReads) {
+  const std::vector<std::vector<std::string>> sim_only = {
+      {"--machine", "gold6148"}, {"--sockets", "2"},
+      {"--setup-overhead", "0.1"}, {"--thermal-tau", "5"},
+      {"--throttle-factor", "0.8"}, {"--pkg-power", "100"},
+      {"--dram-power", "10"}, {"--cost-skew", "8"},
+      {"--cost-base", "0.001"}, {"--sim-counters"},
+  };
+  const std::vector<std::vector<std::string>> native_only = {
+      {"--huge-pages"},
+      {"--custom-machine", "host:2.0:4:1:avx2:2:32MiB:2400:2"},
+  };
+  for (const char* kernel : {"dgemm", "triad"}) {
+    for (const auto& option : sim_only) {
+      std::vector<std::string> args = {kernel, "--native"};
+      args.insert(args.end(), option.begin(), option.end());
+      const auto r = run(args);
+      EXPECT_EQ(r.code, 1) << kernel << ' ' << option[0];
+      EXPECT_NE(r.err.find(option[0] + " has no effect with --native"),
+                std::string::npos)
+          << kernel << ' ' << option[0] << ": " << r.err;
+    }
+    for (const auto& option : native_only) {
+      std::vector<std::string> args = {kernel};
+      args.insert(args.end(), option.begin(), option.end());
+      const auto r = run(args);
+      EXPECT_EQ(r.code, 1) << kernel << ' ' << option[0];
+      EXPECT_NE(r.err.find(option[0] + " has no effect without --native"),
+                std::string::npos)
+          << kernel << ' ' << option[0] << ": " << r.err;
+    }
+  }
+}
+
+// The narrowed space has no enlarged variant: --grid-scale above 1 would
+// be dropped, so the pair is refused.
+TEST(CliOptions, SmallSpaceRefusesGridScale) {
+  const auto r = run({"dgemm", "--small-space", "--grid-scale", "4"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--small-space has no --grid-scale variant"),
+            std::string::npos)
+      << r.err;
+  EXPECT_EQ(run({"dgemm", "--small-space", "--grid-scale", "1", "--invocations",
+                 "1", "--iterations", "2"})
+                .code,
+            0);
 }
 
 TEST(CliOptions, KernelHelpListsItsOwnOptions) {
@@ -144,9 +198,11 @@ TEST(CliOptions, RooflineHelpListsItsOwnOptions) {
   const auto r = run({"roofline", "--help"});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("usage: rooftune roofline"), std::string::npos) << r.out;
-  for (const char* option : {"--svg", "--machine", "--technique", "--json"}) {
+  for (const char* option :
+       {"--svg", "--machine", "--technique", "--json", "--full-space"}) {
     EXPECT_NE(r.out.find(option), std::string::npos) << option;
   }
+  EXPECT_EQ(r.out.find("--small-space"), std::string::npos);
   EXPECT_EQ(r.out.find("--workers"), std::string::npos);
   EXPECT_EQ(r.out.find("--trace"), std::string::npos);
 }

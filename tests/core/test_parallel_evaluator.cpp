@@ -228,29 +228,8 @@ TEST(ParallelEvaluator, ArenaStatsAbsentWithoutModel) {
 
 // --- pipeline scheduler ----------------------------------------------------
 
-// The pipeline at lookahead 1 must reproduce the legacy wave schedule bit
-// for bit: same frozen incumbents, same pruning decisions, same statistics.
-TEST(ParallelEvaluator, PipelineLookahead1MatchesWaveBitwise) {
-  const auto configs = reduced_configs();
-  ParallelOptions wave;
-  wave.workers = 4;
-  wave.deterministic = true;
-  wave.wave = 8;
-  wave.scheduler = SchedulerMode::Wave;
-  ParallelOptions pipeline = wave;
-  pipeline.scheduler = SchedulerMode::Pipeline;
-  pipeline.lookahead = 1;
-
-  const TuningRun wave_run =
-      ParallelEvaluator(sim_factory(), fast_options(true), wave).run(configs);
-  const TuningRun pipe_run =
-      ParallelEvaluator(sim_factory(), fast_options(true), pipeline).run(configs);
-  expect_identical_runs(wave_run, pipe_run);
-  EXPECT_GT(wave_run.pruned_configs, 0u);
-}
-
 // Lookahead > 1 lags the frozen incumbent, so the schedule differs from
-// wave — but it must still be a pure function of (configs, lookahead):
+// lookahead 1 — but it must still be a pure function of (configs, lookahead):
 // bit-identical across worker counts and reruns.
 TEST(ParallelEvaluator, PipelineLookaheadIsWorkerCountInvariant) {
   const auto configs = reduced_configs();
@@ -270,15 +249,12 @@ TEST(ParallelEvaluator, PipelineLookaheadIsWorkerCountInvariant) {
 }
 
 // Deep lookahead weakens pruning (laggier incumbent) but must never change
-// which configuration wins.
-TEST(ParallelEvaluator, PipelineLookaheadFindsWaveBest) {
+// which configuration wins: the serial Autotuner's optimum is the reference.
+TEST(ParallelEvaluator, PipelineLookaheadFindsSerialBest) {
   const auto configs = reduced_configs();
-  ParallelOptions wave;
-  wave.workers = 4;
-  wave.deterministic = true;
-  wave.scheduler = SchedulerMode::Wave;
-  const TuningRun wave_run =
-      ParallelEvaluator(sim_factory(), fast_options(true), wave).run(configs);
+  auto backend = sim_factory()();
+  const TuningRun serial_run =
+      Autotuner(dgemm_reduced_space(), fast_options(true)).run(*backend);
 
   ParallelOptions deep;
   deep.workers = 4;
@@ -287,8 +263,8 @@ TEST(ParallelEvaluator, PipelineLookaheadFindsWaveBest) {
   const TuningRun deep_run =
       ParallelEvaluator(sim_factory(), fast_options(true), deep).run(configs);
   ASSERT_TRUE(deep_run.best_index.has_value());
-  EXPECT_EQ(deep_run.best_config(), wave_run.best_config());
-  EXPECT_EQ(deep_run.best_value(), wave_run.best_value());
+  EXPECT_EQ(deep_run.best_config(), serial_run.best_config());
+  EXPECT_EQ(deep_run.best_value(), serial_run.best_value());
 }
 
 ParallelEvaluator::BackendFactory counting_factory(

@@ -150,8 +150,9 @@ TEST(Racing, MatchesExhaustiveCIOWithFarFewerIterations) {
   }
 }
 
-// Acceptance: racing under the ParallelEvaluator's wave mode is
-// bit-identical for 1, 2, and 8 workers — and matches the serial scheduler.
+// Acceptance: racing under the ParallelEvaluator (default options: each
+// racing block is one epoch, lookahead 1) is bit-identical for 1, 2, and 8
+// workers — and matches the serial scheduler.
 TEST(Racing, ParallelWaveIsWorkerCountInvariant) {
   const auto factory = [] {
     simhw::SimOptions sim;

@@ -54,10 +54,9 @@ void finish(TraceJournal& journal, const core::TuningRun& run,
 
 /// One traced parallel run over the reduced DGEMM space, serialized.
 std::string parallel_journal(
-    std::size_t workers, bool racing,
-    core::SchedulerMode scheduler = core::SchedulerMode::Pipeline,
-    std::size_t lookahead = 1,
-    core::ParallelEvaluator::BackendFactory factory = sim_factory()) {
+    std::size_t workers, bool racing, std::size_t lookahead = 1,
+    core::ParallelEvaluator::BackendFactory factory = sim_factory(),
+    std::size_t wave = 8) {
   TraceJournal journal;
   core::TunerOptions options = traced_options(journal);
   if (racing) options.strategy = core::SearchStrategy::Racing;
@@ -65,8 +64,7 @@ std::string parallel_journal(
   core::ParallelOptions popts;
   popts.workers = workers;
   popts.deterministic = true;
-  popts.wave = 8;
-  popts.scheduler = scheduler;
+  popts.wave = wave;
   popts.lookahead = lookahead;
   const core::ParallelEvaluator evaluator(std::move(factory), options, popts);
   const core::TuningRun run =
@@ -226,33 +224,34 @@ TEST(TraceDeterminism, RacingJournalIsWorkerCountInvariant) {
 
 // --- pipeline scheduler ----------------------------------------------------
 
-// The pipeline at lookahead 1 runs the same logical schedule as the legacy
-// wave engine, so the serialized journals must be byte-identical — for both
-// strategies and any worker count.
-TEST(TraceDeterminism, PipelineLookahead1JournalMatchesWaveJournal) {
+// With one-config waves at lookahead 1 every configuration sees the
+// incumbent of all earlier ones — the serial Autotuner's schedule — so the
+// journal must be byte-identical to the serial engine's, for both
+// strategies and any worker count (1 worker runs inline, without a pool).
+TEST(TraceDeterminism, PipelineWave1JournalMatchesSerialJournal) {
   for (const bool racing : {false, true}) {
-    const std::string wave =
-        parallel_journal(4, racing, core::SchedulerMode::Wave);
-    EXPECT_FALSE(wave.empty());
-    EXPECT_EQ(wave, parallel_journal(1, racing, core::SchedulerMode::Pipeline))
-        << (racing ? "racing" : "exhaustive");
-    EXPECT_EQ(wave, parallel_journal(8, racing, core::SchedulerMode::Pipeline))
-        << (racing ? "racing" : "exhaustive");
+    const std::string serial = serial_journal(racing);
+    EXPECT_FALSE(serial.empty());
+    for (const std::size_t workers : {1, 4, 8}) {
+      EXPECT_EQ(serial,
+                parallel_journal(workers, racing, 1, sim_factory(), /*wave=*/1))
+          << (racing ? "racing" : "exhaustive") << " at " << workers
+          << " workers";
+    }
   }
 }
 
 // Lookahead > 1 changes which incumbent snapshot each epoch sees, so the
-// journal differs from wave mode — but it must stay a pure function of the
-// schedule: byte-identical across 1/2/8 workers and reruns.
+// journal differs from lookahead 1 — but it must stay a pure function of
+// the schedule: byte-identical across 1/2/8 workers and reruns.
 TEST(TraceDeterminism, PipelineLookaheadJournalIsWorkerCountInvariant) {
   for (const bool racing : {false, true}) {
-    const std::string one =
-        parallel_journal(1, racing, core::SchedulerMode::Pipeline, 8);
+    const std::string one = parallel_journal(1, racing, 8);
     EXPECT_FALSE(one.empty());
-    EXPECT_EQ(one, parallel_journal(2, racing, core::SchedulerMode::Pipeline, 8));
-    EXPECT_EQ(one, parallel_journal(8, racing, core::SchedulerMode::Pipeline, 8));
+    EXPECT_EQ(one, parallel_journal(2, racing, 8));
+    EXPECT_EQ(one, parallel_journal(8, racing, 8));
     // Rerun at the same worker count: no hidden wall-clock dependence.
-    EXPECT_EQ(one, parallel_journal(8, racing, core::SchedulerMode::Pipeline, 8));
+    EXPECT_EQ(one, parallel_journal(8, racing, 8));
   }
 }
 
@@ -345,9 +344,8 @@ TEST(TraceDeterminism, CostSkewLeavesJournalBytesUntouched) {
         simhw::machine_by_name("gold6148"), sim);
   };
   for (const bool racing : {false, true}) {
-    EXPECT_EQ(parallel_journal(4, racing, core::SchedulerMode::Pipeline, 2),
-              parallel_journal(4, racing, core::SchedulerMode::Pipeline, 2,
-                               skewed_factory))
+    EXPECT_EQ(parallel_journal(4, racing, 2),
+              parallel_journal(4, racing, 2, skewed_factory))
         << (racing ? "racing" : "exhaustive");
   }
 }
