@@ -608,13 +608,29 @@ void add_tune_options(ArgParser& parser, const KernelSpec& kernel) {
 }
 
 /// Options only the simulated backends read, and options only the native
-/// backends read.  Both sets are registered on every kernel with both
-/// backends, so cmd_tune refuses the set the chosen backend would ignore.
+/// backends read.  Commands with both backends register both sets, so they
+/// refuse the set the chosen backend would ignore.
 constexpr const char* kSimOnlyOptions[] = {
     "machine",         "sockets",   "setup-overhead", "thermal-tau",
     "throttle-factor", "pkg-power", "dram-power",     "cost-skew",
     "cost-base",       "sim-counters"};
-constexpr const char* kNativeOnlyOptions[] = {"huge-pages", "custom-machine"};
+constexpr const char* kNativeOnlyOptions[] = {"huge-pages", "custom-machine",
+                                              "full-space"};
+
+/// Refuse, before any backend is built, an option the run's backend
+/// (host when `host_run`, else simulated) would ignore.
+void refuse_unread_backend_options(const ArgParser& parser, bool host_run) {
+  const std::span<const char* const> unread =
+      host_run ? std::span<const char* const>(kSimOnlyOptions)
+               : std::span<const char* const>(kNativeOnlyOptions);
+  for (const char* name : unread) {
+    if (parser.has(name)) {
+      throw std::invalid_argument("--" + std::string(name) +
+                                  " has no effect " +
+                                  (host_run ? "with" : "without") + " --native");
+    }
+  }
+}
 
 /// The tuning sequence every kernel shares: options, backend (plus the
 /// per-worker factory on simulated machines), search, journal, profile,
@@ -627,16 +643,7 @@ int cmd_tune(const KernelSpec& kernel, const ArgParser& parser, std::ostream& ou
         ": --native is not supported (its backend models the kernel on "
         "simulated machines only; docs/kernels.md)");
   }
-  const std::span<const char* const> unread =
-      host_run ? std::span<const char* const>(kSimOnlyOptions)
-               : std::span<const char* const>(kNativeOnlyOptions);
-  for (const char* name : unread) {
-    if (parser.has(name)) {
-      throw std::invalid_argument("--" + std::string(name) +
-                                  " has no effect " +
-                                  (host_run ? "with" : "without") + " --native");
-    }
-  }
+  refuse_unread_backend_options(parser, host_run);
   auto options = tuner_options_from(parser);
   auto setup = trace_setup_from(parser, options, host_run);
   const core::SearchSpace space = kernel.space(parser);
@@ -738,6 +745,7 @@ int cmd_import(const ArgParser& parser, std::ostream& out) {
 }
 
 int cmd_roofline(const ArgParser& parser, std::ostream& out) {
+  refuse_unread_backend_options(parser, parser.has("native"));
   roofline::BuilderOptions options;
   options.tuner = tuner_options_from(parser);
   options.prune_min_count = static_cast<std::uint64_t>(parser.get_int("min-count", 10));
@@ -778,6 +786,7 @@ int cmd_roofline(const ArgParser& parser, std::ostream& out) {
 int cmd_stream(const ArgParser& parser, std::ostream& out) {
   // Full STREAM suite, the way stream.c reports it: per kernel, the best
   // DRAM-resident bandwidth found by the autotuner.
+  refuse_unread_backend_options(parser, parser.has("native"));
   const auto options = tuner_options_from(parser);
 
   util::TextTable table;

@@ -17,7 +17,7 @@ const char* to_string(BottleneckClass cls) {
 }
 
 std::optional<BottleneckClass> bottleneck_class_from_string(
-    const std::string& text) {
+    std::string_view text) {
   for (const auto cls : {BottleneckClass::Unknown, BottleneckClass::Compute,
                          BottleneckClass::Dram, BottleneckClass::Latency}) {
     if (text == to_string(cls)) return cls;

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace rooftune::core {
 
@@ -60,7 +61,7 @@ const char* to_string(BottleneckClass cls);
 /// Inverse of to_string; empty for unrecognized text.  Checkpoints persist
 /// the class by name, so restore round-trips through this.
 [[nodiscard]] std::optional<BottleneckClass> bottleneck_class_from_string(
-    const std::string& text);
+    std::string_view text);
 
 /// One classification: the class, the roofline bound it implies, and the
 /// evidence (measured OI, IPC) behind it.

@@ -317,39 +317,34 @@ std::string SearchSpace::to_json() const {
 
 namespace {
 
-ConstraintSpec::Op op_from(const std::string& text) {
+ConstraintSpec::Op op_from(std::string_view text) {
   if (text == "==") return ConstraintSpec::Op::Eq;
   if (text == "!=") return ConstraintSpec::Op::Ne;
   if (text == "<") return ConstraintSpec::Op::Lt;
   if (text == "<=") return ConstraintSpec::Op::Le;
   if (text == ">") return ConstraintSpec::Op::Gt;
   if (text == ">=") return ConstraintSpec::Op::Ge;
-  throw std::invalid_argument("SearchSpace::from_json: unknown operator '" + text + "'");
+  throw std::invalid_argument("SearchSpace::from_json: unknown operator '" +
+                              std::string(text) + "'");
 }
 
 }  // namespace
 
 SearchSpace SearchSpace::from_json(const util::JsonValue& value) {
   SearchSpace space;
-  const auto& params = value.at("params");
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    const auto& p = params.at(i);
+  for (const util::JsonValue& p : value.at("params").as_array()) {
+    const auto list = p.at("values").as_array();
     std::vector<std::int64_t> values;
-    const auto& list = p.at("values");
     values.reserve(list.size());
-    for (std::size_t j = 0; j < list.size(); ++j) {
-      values.push_back(list.at(j).as_int());
-    }
+    for (const util::JsonValue& v : list) values.push_back(v.as_int());
     space.add_range(ParameterRange(p.at("name").as_string(), std::move(values)));
   }
   if (value.has("constraints")) {
-    const auto& constraints = value.at("constraints");
-    for (std::size_t i = 0; i < constraints.size(); ++i) {
-      const auto& c = constraints.at(i);
+    for (const util::JsonValue& c : value.at("constraints").as_array()) {
       ConstraintSpec spec;
       spec.lhs = c.at("lhs").as_string();
       spec.op = op_from(c.at("op").as_string());
-      const auto& rhs = c.at("rhs");
+      const util::JsonValue rhs = c.at("rhs");
       if (rhs.type() == util::JsonValue::Type::String) {
         spec.rhs_param = rhs.as_string();
       } else {
@@ -362,7 +357,10 @@ SearchSpace SearchSpace::from_json(const util::JsonValue& value) {
 }
 
 SearchSpace SearchSpace::from_json(const std::string& json) {
-  return from_json(util::parse_json(json));
+  util::JsonDocument parsed;
+  util::parse_located<std::invalid_argument>(parsed, json,
+                                             "SearchSpace::from_json: malformed JSON");
+  return from_json(parsed.root());
 }
 
 const char* to_string(SearchOrder order) {

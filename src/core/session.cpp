@@ -1,11 +1,12 @@
 #include "core/session.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
@@ -100,9 +101,10 @@ void check_env_fingerprint(const util::JsonValue& doc, std::uint64_t current,
   }
 }
 
-StopReason stop_reason_from(const std::string& text) {
+StopReason stop_reason_from(std::string_view text) {
   if (const auto reason = stop_reason_from_string(text)) return *reason;
-  throw std::runtime_error("TuningSession: unknown stop reason '" + text + "'");
+  throw std::runtime_error("TuningSession: unknown stop reason '" +
+                           std::string(text) + "'");
 }
 
 /// Refuse to resume a traced run under a different journal path — the
@@ -133,8 +135,20 @@ std::string double_bits(double v) {
   return util::format("%016llx", static_cast<unsigned long long>(bits));
 }
 
-double bits_double(const std::string& hex) {
-  const std::uint64_t bits = std::stoull(hex, nullptr, 16);
+/// An unsigned integer written as a string (hex double images, space
+/// indices), all digits or an error.
+std::uint64_t parse_u64(std::string_view text, int base) {
+  std::uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value, base);
+  if (text.empty() || ec != std::errc() || end != text.data() + text.size()) {
+    throw std::runtime_error("TuningSession: '" + std::string(text) +
+                             "' is not a base-" + std::to_string(base) + " integer");
+  }
+  return value;
+}
+
+double bits_double(std::string_view hex) {
+  const std::uint64_t bits = parse_u64(hex, 16);
   double v;
   std::memcpy(&v, &bits, sizeof v);
   return v;
@@ -149,13 +163,14 @@ const char* to_string(RacingScheduler::Status status) {
   return "?";
 }
 
-RacingScheduler::Status racing_status_from(const std::string& text) {
+RacingScheduler::Status racing_status_from(std::string_view text) {
   for (const auto s : {RacingScheduler::Status::Racing,
                        RacingScheduler::Status::Finished,
                        RacingScheduler::Status::Eliminated}) {
     if (text == to_string(s)) return s;
   }
-  throw std::runtime_error("TuningSession: unknown racing status '" + text + "'");
+  throw std::runtime_error("TuningSession: unknown racing status '" +
+                           std::string(text) + "'");
 }
 
 /// One bit-exact record per completed invocation ("invocations": [...]).
@@ -204,24 +219,23 @@ void replay_invocation_records(const util::JsonValue& record, ConfigResult& resu
   for (const auto& inv_record : record.at("invocations").as_array()) {
     InvocationResult inv;
     inv.moments = stats::OnlineMoments::from_raw(
-        static_cast<std::uint64_t>(inv_record.at("count").as_number()),
+        inv_record.at("count").as_u64(),
         bits_double(inv_record.at("mean_bits").as_string()),
         bits_double(inv_record.at("ssd_bits").as_string()));
-    inv.iterations =
-        static_cast<std::uint64_t>(inv_record.at("iterations").as_number());
+    inv.iterations = inv_record.at("iterations").as_u64();
     inv.stop_reason = stop_reason_from(inv_record.at("stop").as_string());
     inv.trend_rising = inv_record.at("rising").as_bool();
     inv.kernel_time = util::Seconds{bits_double(inv_record.at("kernel_bits").as_string())};
     inv.wall_time = util::Seconds{bits_double(inv_record.at("wall_bits").as_string())};
     inv.setup_time = util::Seconds{bits_double(inv_record.at("setup_bits").as_string())};
     if (inv_record.has("counter")) {
-      const auto& counter = inv_record.at("counter");
+      const util::JsonValue counter = inv_record.at("counter");
       BottleneckVerdict verdict;
-      const auto cls =
-          bottleneck_class_from_string(counter.at("class").as_string());
+      const std::string_view name = counter.at("class").as_string();
+      const auto cls = bottleneck_class_from_string(name);
       if (!cls.has_value()) {
         throw std::runtime_error("TuningSession: unknown bottleneck class '" +
-                                 counter.at("class").as_string() + "'");
+                                 std::string(name) + "'");
       }
       verdict.cls = *cls;
       const double bound = bits_double(counter.at("bound_bits").as_string());
@@ -241,6 +255,22 @@ void replay_invocation_records(const util::JsonValue& record, ConfigResult& resu
     if (trend) trend->add(inv.moments.mean());
     result.invocations.push_back(std::move(inv));
   }
+}
+
+/// Parse the checkpoint at `path` and hand its root to `restore`.  Errors
+/// name the checkpoint, and the line and column where the JSON or one of
+/// its values is at fault; malformed JSON stays std::invalid_argument.
+template <class Restore>
+void read_checkpoint(const std::string& path, Restore&& restore) {
+  const auto text = util::read_text_file(path);
+  if (!text) {
+    throw std::runtime_error("TuningSession: cannot read checkpoint '" + path + "'");
+  }
+  util::JsonDocument parsed;
+  util::parse_located<std::invalid_argument>(
+      parsed, *text, "TuningSession: checkpoint '" + path + "' is malformed JSON");
+  util::read_located(*text, "TuningSession: checkpoint '" + path + "': ",
+                     [&] { restore(parsed.root()); });
 }
 
 void write_config_object(util::JsonWriter& w, const Configuration& config) {
@@ -367,16 +397,15 @@ void TuningSession::save_racing_checkpoint(
 }
 
 void TuningSession::restore_racing(RacingScheduler::State& state,
-                                   const std::string& text) {
-  const util::JsonValue doc = util::parse_json(text);
+                                   const util::JsonValue& doc) {
   check_fingerprint_and_context(doc);
-  const auto& entries = doc.at("entries").as_array();
+  const auto entries = doc.at("entries").as_array();
   if (entries.size() != state.entries.size()) {
     throw std::runtime_error("TuningSession: racing checkpoint entry count mismatch");
   }
-  state.round = static_cast<std::uint64_t>(doc.at("round").as_number());
+  state.round = doc.at("round").as_u64();
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    const auto& record = entries[i];
+    const util::JsonValue record = entries[i];
     RacingScheduler::Entry& entry = state.entries[i];
     entry.status = racing_status_from(record.at("status").as_string());
     entry.result.outer_stop = stop_reason_from(record.at("outer_stop").as_string());
@@ -392,10 +421,7 @@ TuningRun TuningSession::run_racing(Backend& backend) {
   resumed_ = 0;
 
   if (std::filesystem::exists(path_)) {
-    std::ifstream in(path_);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    restore_racing(state, buffer.str());
+    read_checkpoint(path_, [&](const util::JsonValue& doc) { restore_racing(state, doc); });
     util::log_info() << "TuningSession: resumed racing round " << state.round
                      << " (" << resumed_ << "/" << state.entries.size()
                      << " configurations in flight) from " << path_;
@@ -518,11 +544,10 @@ void TuningSession::save_surrogate_checkpoint(
 
 void TuningSession::restore_surrogate(const SurrogateScheduler& scheduler,
                                       SurrogateScheduler::State& state,
-                                      const std::string& text) {
-  const util::JsonValue doc = util::parse_json(text);
+                                      const util::JsonValue& doc) {
   check_fingerprint_and_context(doc);
 
-  const auto& seed = doc.at("seed").as_array();
+  const auto seed = doc.at("seed").as_array();
   if (seed.size() > state.seed_indices.size()) {
     throw std::runtime_error(
         "TuningSession: surrogate checkpoint has more seed results than the budget");
@@ -539,7 +564,7 @@ void TuningSession::restore_surrogate(const SurrogateScheduler& scheduler,
 
   if (doc.at("phase").as_string() != "confirm") return;
 
-  const auto& model = doc.at("model");
+  const util::JsonValue model = doc.at("model");
   std::vector<double> coef;
   for (const auto& bits : model.at("coef_bits").as_array()) {
     coef.push_back(bits_double(bits.as_string()));
@@ -547,19 +572,19 @@ void TuningSession::restore_surrogate(const SurrogateScheduler& scheduler,
   state.model = SurrogateModel::from_state(std::move(coef),
                                            model.at("log_scale").as_bool(),
                                            bits_double(model.at("r2_bits").as_string()));
-  state.scanned = static_cast<std::uint64_t>(doc.at("scanned").as_number());
+  state.scanned = doc.at("scanned").as_u64();
 
   std::vector<Configuration> confirm_configs;
   for (const auto& candidate : doc.at("confirm").as_array()) {
-    const std::uint64_t index = std::stoull(candidate.at("index").as_string());
+    const std::uint64_t index = parse_u64(candidate.at("index").as_string(), 10);
     state.confirm_indices.push_back(index);
     state.confirm_predicted.push_back(
         bits_double(candidate.at("predicted_bits").as_string()));
     confirm_configs.push_back(space_.config_at(index));
   }
   state.race = RacingScheduler(options_).init(std::move(confirm_configs));
-  state.race.round = static_cast<std::uint64_t>(doc.at("round").as_number());
-  const auto& entries = doc.at("entries").as_array();
+  state.race.round = doc.at("round").as_u64();
+  const auto entries = doc.at("entries").as_array();
   if (entries.size() != state.race.entries.size()) {
     throw std::runtime_error(
         "TuningSession: surrogate checkpoint confirm entry count mismatch");
@@ -581,10 +606,9 @@ TuningRun TuningSession::run_surrogate(Backend& backend) {
   resumed_ = 0;
 
   if (std::filesystem::exists(path_)) {
-    std::ifstream in(path_);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    restore_surrogate(scheduler, state, buffer.str());
+    read_checkpoint(path_, [&](const util::JsonValue& doc) {
+      restore_surrogate(scheduler, state, doc);
+    });
     const std::uint64_t seeds = state.seed_indices.size();
     util::log_info() << "TuningSession: resumed surrogate "
                      << (state.phase == SurrogateScheduler::Phase::Seed ? "seed"
@@ -698,51 +722,52 @@ TuningRun TuningSession::run(Backend& backend) {
 
   // ---- restore --------------------------------------------------------------
   if (std::filesystem::exists(path_)) {
-    std::ifstream in(path_);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const util::JsonValue doc = util::parse_json(buffer.str());
+    read_checkpoint(path_, [&](const util::JsonValue& doc) {
+      check_fingerprint_and_context(doc);
+      prior_time = util::Seconds{doc.at("elapsed_seconds").as_number()};
+      if (!doc.at("incumbent").is_null()) incumbent = doc.at("incumbent").as_number();
 
-    check_fingerprint_and_context(doc);
-    prior_time = util::Seconds{doc.at("elapsed_seconds").as_number()};
-    if (!doc.at("incumbent").is_null()) incumbent = doc.at("incumbent").as_number();
-
-    const auto& results = doc.at("results").as_array();
-    if (results.size() > view.size()) {
-      throw std::runtime_error("TuningSession: checkpoint has more results than configs");
-    }
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const auto& entry = results[i];
-      ConfigResult r;
-      r.config = view.at(i);  // fingerprint guarantees the order matches
-      r.outer_moments = stats::OnlineMoments::from_raw(
-          static_cast<std::uint64_t>(entry.at("outer_count").as_number()),
-          entry.at("outer_mean").as_number(), entry.at("outer_ssd").as_number());
-      r.total_iterations =
-          static_cast<std::uint64_t>(entry.at("iterations").as_number());
-      r.total_time = util::Seconds{entry.at("time_seconds").as_number()};
-      r.total_setup_time = util::Seconds{entry.at("setup_seconds").as_number()};
-      r.total_kernel_time = util::Seconds{entry.at("kernel_seconds").as_number()};
-      r.outer_stop = stop_reason_from(entry.at("outer_stop").as_string());
-      // Invocation details are not persisted; a pruned flag is preserved by
-      // reconstructing the outer stop reason (which pruned() inspects).
-      if (entry.at("pruned").as_bool() && r.outer_stop != StopReason::PrunedByBest) {
-        // Inner-level prune: represent with one synthetic pruned invocation.
-        InvocationResult inv;
-        inv.stop_reason = StopReason::PrunedByBest;
-        r.invocations.push_back(std::move(inv));
+      const auto results = doc.at("results").as_array();
+      if (results.size() > view.size()) {
+        throw std::runtime_error("TuningSession: checkpoint has more results than configs");
       }
-      run.total_iterations += r.total_iterations;
-      run.total_invocations +=
-          static_cast<std::uint64_t>(entry.at("invocations").as_number());
-      run.total_setup_time += r.total_setup_time;
-      run.total_kernel_time += r.total_kernel_time;
-      if (r.pruned()) ++run.pruned_configs;
-      run.results.push_back(std::move(r));
-    }
-    if (!doc.at("best_index").is_null()) {
-      run.best_index = static_cast<std::size_t>(doc.at("best_index").as_number());
-    }
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        const util::JsonValue entry = results[i];
+        ConfigResult r;
+        r.config = view.at(i);  // fingerprint guarantees the order matches
+        r.outer_moments = stats::OnlineMoments::from_raw(
+            entry.at("outer_count").as_u64(),
+            entry.at("outer_mean").as_number(), entry.at("outer_ssd").as_number());
+        r.total_iterations = entry.at("iterations").as_u64();
+        r.total_time = util::Seconds{entry.at("time_seconds").as_number()};
+        r.total_setup_time = util::Seconds{entry.at("setup_seconds").as_number()};
+        r.total_kernel_time = util::Seconds{entry.at("kernel_seconds").as_number()};
+        r.outer_stop = stop_reason_from(entry.at("outer_stop").as_string());
+        // Invocation details are not persisted; a pruned flag is preserved by
+        // reconstructing the outer stop reason (which pruned() inspects).
+        if (entry.at("pruned").as_bool() && r.outer_stop != StopReason::PrunedByBest) {
+          // Inner-level prune: represent with one synthetic pruned invocation.
+          InvocationResult inv;
+          inv.stop_reason = StopReason::PrunedByBest;
+          r.invocations.push_back(std::move(inv));
+        }
+        run.total_iterations += r.total_iterations;
+        run.total_invocations += entry.at("invocations").as_u64();
+        run.total_setup_time += r.total_setup_time;
+        run.total_kernel_time += r.total_kernel_time;
+        if (r.pruned()) ++run.pruned_configs;
+        run.results.push_back(std::move(r));
+      }
+      if (!doc.at("best_index").is_null()) {
+        const std::uint64_t best = doc.at("best_index").as_u64();
+        if (best >= run.results.size()) {
+          throw std::runtime_error("TuningSession: checkpoint best_index " +
+                                   std::to_string(best) + " is past its " +
+                                   std::to_string(run.results.size()) + " results");
+        }
+        run.best_index = best;
+      }
+    });
     resumed_ = run.results.size();
     util::log_info() << "TuningSession: resumed " << resumed_ << "/" << view.size()
                      << " configurations from " << path_;

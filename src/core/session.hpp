@@ -70,14 +70,14 @@ class TuningSession {
   void save_racing_checkpoint(const RacingScheduler::State& state) const;
   [[nodiscard]] std::string racing_checkpoint_json(
       const RacingScheduler::State& state) const;
-  void restore_racing(RacingScheduler::State& state, const std::string& text);
+  void restore_racing(RacingScheduler::State& state, const util::JsonValue& doc);
 
   [[nodiscard]] TuningRun run_surrogate(Backend& backend);
   void save_surrogate_checkpoint(const SurrogateScheduler::State& state) const;
   [[nodiscard]] std::string surrogate_checkpoint_json(
       const SurrogateScheduler::State& state) const;
   void restore_surrogate(const SurrogateScheduler& scheduler,
-                         SurrogateScheduler::State& state, const std::string& text);
+                         SurrogateScheduler::State& state, const util::JsonValue& doc);
 
   void check_fingerprint_and_context(const util::JsonValue& doc) const;
   void write_checkpoint_file(const std::string& content) const;

@@ -1,6 +1,7 @@
 #include "roofline/advisor.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
 
 #include "util/json.hpp"
@@ -121,11 +122,16 @@ core::Configuration config_from_string(const std::string& text) {
   if (!text.empty()) {
     for (const auto& part : util::split(text, ',')) {
       const auto eq = part.find('=');
-      if (eq == std::string::npos) {
+      std::int64_t value = 0;
+      const char* last = part.data() + part.size();
+      const auto [end, ec] =
+          eq == std::string::npos
+              ? std::from_chars_result{nullptr, std::errc::invalid_argument}
+              : std::from_chars(part.data() + eq + 1, last, value);
+      if (ec != std::errc() || end != last) {
         throw std::invalid_argument("model_from_json: bad config '" + text + "'");
       }
-      params.push_back(
-          {part.substr(0, eq), std::stoll(part.substr(eq + 1))});
+      params.push_back({part.substr(0, eq), value});
     }
   }
   return core::Configuration(std::move(params));
@@ -134,7 +140,9 @@ core::Configuration config_from_string(const std::string& text) {
 }  // namespace
 
 RooflineModel model_from_json(const std::string& json) {
-  const util::JsonValue doc = util::parse_json(json);
+  util::JsonDocument parsed;
+  util::parse_located<std::invalid_argument>(parsed, json, "model_from_json: malformed JSON");
+  const util::JsonValue doc = parsed.root();
   RooflineModel model;
   model.machine_name = doc.at("machine").as_string();
 
@@ -162,7 +170,7 @@ RooflineModel model_from_json(const std::string& json) {
     model.add_memory(std::move(m));
   }
   if (doc.has("energy_ceiling")) {
-    const auto& entry = doc.at("energy_ceiling");
+    const util::JsonValue entry = doc.at("energy_ceiling");
     EnergyCeiling e;
     e.name = entry.at("name").as_string();
     e.tdp_w = entry.at("tdp_w").as_number();

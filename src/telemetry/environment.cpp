@@ -237,11 +237,11 @@ EnvironmentFingerprint parse_provenance(const util::JsonValue& doc) {
   env.cpu_model = field_or_unknown(doc, "cpu");
   env.uarch = field_or_unknown(doc, "uarch");
   if (doc.has("logical_cpus")) {
-    env.logical_cpus = static_cast<int>(doc.at("logical_cpus").as_int());
+    env.logical_cpus = doc.at("logical_cpus").as_i32();
   }
-  if (doc.has("cores")) env.physical_cores = static_cast<int>(doc.at("cores").as_int());
-  if (doc.has("smt")) env.smt = static_cast<int>(doc.at("smt").as_int());
-  if (doc.has("numa")) env.numa_nodes = static_cast<int>(doc.at("numa").as_int());
+  if (doc.has("cores")) env.physical_cores = doc.at("cores").as_i32();
+  if (doc.has("smt")) env.smt = doc.at("smt").as_i32();
+  if (doc.has("numa")) env.numa_nodes = doc.at("numa").as_i32();
   env.governor = field_or_unknown(doc, "governor");
   if (doc.has("freq_min_khz")) env.freq_min_khz = doc.at("freq_min_khz").as_int();
   if (doc.has("freq_max_khz")) env.freq_max_khz = doc.at("freq_max_khz").as_int();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -26,9 +25,9 @@ double number_or(const util::JsonValue& doc, const char* key, double fallback) {
 
 SpanRecord parse_span(const util::JsonValue& doc) {
   SpanRecord r;
-  r.epoch = static_cast<std::uint64_t>(doc.at("epoch").as_int());
-  r.config_ordinal = static_cast<std::uint64_t>(doc.at("ord").as_int());
-  r.invocation = static_cast<std::uint64_t>(doc.at("inv").as_int());
+  r.epoch = doc.at("epoch").as_u64();
+  r.config_ordinal = doc.at("ord").as_u64();
+  r.invocation = doc.at("inv").as_u64();
   r.span.freq_begin_mhz = number_or(doc, "freq_begin_mhz", 0.0);
   r.span.freq_end_mhz = number_or(doc, "freq_end_mhz", 0.0);
   r.span.freq_mean_mhz = number_or(doc, "freq_mean_mhz", 0.0);
@@ -67,44 +66,47 @@ HostSample parse_host(const util::JsonValue& doc) {
 
 SidecarData read_sidecar(const std::string& text) {
   SidecarData data;
-  std::istringstream in(text);
-  std::string line;
+  util::JsonDocument parsed;
+  const std::string_view all(text);
   std::size_t line_no = 0;
   bool saw_header = false;
-  while (std::getline(in, line)) {
+  for (std::size_t begin = 0; begin < all.size();) {
+    const std::size_t newline = all.find('\n', begin);
+    const std::size_t end = newline == std::string_view::npos ? all.size() : newline;
+    const std::string_view line = all.substr(begin, end - begin);
+    begin = end + 1;
     ++line_no;
-    if (util::trim(line).empty()) continue;
-    util::JsonValue doc;
+    if (line.find_first_not_of(" \t\n\v\f\r") == std::string_view::npos) continue;
+    // One catch adds the line number to every failure on this line: parse
+    // errors, accessor errors (missing field, wrong type) and bad tags.
     try {
-      doc = util::parse_json(line);
-    } catch (const std::exception& e) {
-      fail(line_no, e.what());
-    }
-    if (!doc.has("t")) fail(line_no, "missing record tag \"t\"");
-    const std::string tag = doc.at("t").as_string();
-    if (line_no == 1 || !saw_header) {
-      if (tag != "telemetry") {
-        fail(line_no, "expected {\"t\":\"telemetry\"} header, got \"" + tag + "\"");
-      }
-      saw_header = true;
-      continue;
-    }
-    try {
-      if (tag == "span") {
+      parsed.parse(line);
+      const util::JsonValue doc = parsed.root();
+      if (!doc.has("t")) throw std::runtime_error("missing record tag \"t\"");
+      const std::string tag = doc.at("t").as_string();
+      if (line_no == 1 || !saw_header) {
+        if (tag != "telemetry") {
+          throw std::runtime_error("expected {\"t\":\"telemetry\"} header, got \"" +
+                                   tag + "\"");
+        }
+        saw_header = true;
+      } else if (tag == "span") {
         data.spans.push_back(parse_span(doc));
       } else if (tag == "host") {
         data.host.push_back(parse_host(doc));
       } else if (tag == "sampler") {
         SamplerStats stats;
-        stats.samples = static_cast<std::uint64_t>(doc.at("samples").as_int());
-        stats.dropped = static_cast<std::uint64_t>(doc.at("dropped").as_int());
+        stats.samples = doc.at("samples").as_u64();
+        stats.dropped = doc.at("dropped").as_u64();
         stats.period_s = number_or(doc, "period_s", 0.0);
         data.sampler = stats;
       } else {
-        fail(line_no, "unknown record tag \"" + tag + "\"");
+        throw std::runtime_error("unknown record tag \"" + tag + "\"");
       }
     } catch (const std::out_of_range& e) {
       fail(line_no, std::string("missing field: ") + e.what());
+    } catch (const std::exception& e) {
+      fail(line_no, e.what());
     }
   }
   if (!saw_header) throw std::runtime_error("telemetry sidecar: empty input");
@@ -112,13 +114,11 @@ SidecarData read_sidecar(const std::string& text) {
 }
 
 SidecarData read_sidecar_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  const auto text = util::read_text_file(path);
+  if (!text) {
     throw std::runtime_error("telemetry sidecar: cannot read " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return read_sidecar(buffer.str());
+  return read_sidecar(*text);
 }
 
 StabilityReport analyze_stability(const SidecarData& data,

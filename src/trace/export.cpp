@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -13,6 +12,7 @@
 #include "util/clock.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
+#include "util/strings.hpp"
 
 namespace rooftune::trace {
 
@@ -74,10 +74,10 @@ telemetry::EnvironmentFingerprint parse_environment(
   telemetry::EnvironmentFingerprint env;
   env.cpu_model = doc.at("cpu").as_string();
   env.uarch = doc.at("uarch").as_string();
-  env.logical_cpus = static_cast<int>(doc.at("logical_cpus").as_int());
-  env.physical_cores = static_cast<int>(doc.at("cores").as_int());
-  env.smt = static_cast<int>(doc.at("smt").as_int());
-  env.numa_nodes = static_cast<int>(doc.at("numa").as_int());
+  env.logical_cpus = doc.at("logical_cpus").as_i32();
+  env.physical_cores = doc.at("cores").as_i32();
+  env.smt = doc.at("smt").as_i32();
+  env.numa_nodes = doc.at("numa").as_i32();
   env.governor = doc.at("governor").as_string();
   env.freq_min_khz = doc.at("freq_min_khz").as_int();
   env.freq_max_khz = doc.at("freq_max_khz").as_int();
@@ -90,17 +90,17 @@ telemetry::EnvironmentFingerprint parse_environment(
 }
 
 std::string validated_stop(const util::JsonValue& v, const char* where) {
-  const std::string& text = v.as_string();
+  const std::string_view text = v.as_string();
   if (!core::stop_reason_from_string(text).has_value()) {
-    throw std::runtime_error(std::string("export: unknown stop reason '") +
-                             text + "' in " + where);
+    throw std::runtime_error("export: unknown stop reason '" + std::string(text) +
+                             "' in " + where);
   }
-  return text;
+  return std::string(text);
 }
 
 /// Rebuild a Configuration with parameters in search-space range order —
 /// the order write_export emits, which is what makes a parse → re-export
-/// cycle byte-identical (util::parse_json sorts object keys).
+/// cycle byte-identical (objects parse into sorted key order).
 core::Configuration config_from(const util::JsonValue& obj,
                                 const core::SearchSpace& space) {
   std::vector<core::Parameter> params;
@@ -112,7 +112,7 @@ core::Configuration config_from(const util::JsonValue& obj,
     }
     params.push_back({range.name(), obj.at(range.name()).as_int()});
   }
-  if (obj.as_object().size() != params.size()) {
+  if (obj.size() != params.size()) {
     throw std::runtime_error(
         "export: config record has parameters outside the space definition");
   }
@@ -414,22 +414,15 @@ std::string write_export(const ExportDocument& doc) {
   return w.str();
 }
 
-ExportDocument parse_export(const std::string& text) {
-  const util::JsonValue root = [&] {
-    try {
-      return util::parse_json(text);
-    } catch (const std::invalid_argument& e) {
-      throw std::runtime_error("export: malformed JSON" +
-                               util::parse_error_location(text, e.what()) +
-                               ": " + e.what());
-    }
-  }();
+namespace {
+
+ExportDocument read_export(const util::JsonValue& root) {
   if (!root.has("format") || root.at("format").as_string() != "rooftune-export") {
     throw std::runtime_error(
         "export: not a rooftune export document (missing "
         "\"format\":\"rooftune-export\")");
   }
-  const int version = static_cast<int>(root.at("version").as_int());
+  const std::int64_t version = root.at("version").as_int();
   if (version > kExportSchemaVersion) {
     throw std::runtime_error(
         "export: schema version " + std::to_string(version) +
@@ -443,22 +436,20 @@ ExportDocument parse_export(const std::string& text) {
   }
 
   ExportDocument doc;
-  doc.version = version;
+  doc.version = static_cast<int>(version);
   doc.benchmark = root.at("benchmark").as_string();
   doc.metric = root.at("metric").as_string();
 
-  const util::JsonValue& technique = root.at("technique");
+  const util::JsonValue technique = root.at("technique");
   doc.technique.strategy = technique.at("strategy").as_string();
   if (technique.has("order")) {
     doc.technique.order = technique.at("order").as_string();
   }
   if (technique.has("invocations")) {
-    doc.technique.invocations =
-        static_cast<std::uint64_t>(technique.at("invocations").as_int());
+    doc.technique.invocations = technique.at("invocations").as_u64();
   }
   if (technique.has("iterations")) {
-    doc.technique.iterations =
-        static_cast<std::uint64_t>(technique.at("iterations").as_int());
+    doc.technique.iterations = technique.at("iterations").as_u64();
   }
   if (technique.has("timeout_s")) {
     doc.technique.timeout_s = technique.at("timeout_s").as_number();
@@ -494,14 +485,14 @@ ExportDocument parse_export(const std::string& text) {
     r.value = rv.at("value").as_number();
     r.pruned = rv.at("pruned").as_bool();
     r.stop = validated_stop(rv.at("stop"), "a result record");
-    r.iterations = static_cast<std::uint64_t>(rv.at("iterations").as_int());
+    r.iterations = rv.at("iterations").as_u64();
     r.kernel_s = rv.at("kernel_s").as_number();
     r.setup_s = rv.at("setup_s").as_number();
     for (const util::JsonValue& iv : rv.at("invocations").as_array()) {
       ExportInvocation inv;
       inv.mean = iv.at("mean").as_number();
       inv.stddev = iv.at("stddev").as_number();
-      inv.iterations = static_cast<std::uint64_t>(iv.at("iterations").as_int());
+      inv.iterations = iv.at("iterations").as_u64();
       inv.stop = validated_stop(iv.at("stop"), "an invocation record");
       inv.kernel_s = iv.at("kernel_s").as_number();
       inv.setup_s = iv.at("setup_s").as_number();
@@ -512,8 +503,8 @@ ExportDocument parse_export(const std::string& text) {
   }
 
   if (root.has("best") && !root.at("best").is_null()) {
-    const util::JsonValue& best = root.at("best");
-    const auto index = static_cast<std::size_t>(best.at("index").as_int());
+    const util::JsonValue best = root.at("best");
+    const std::uint64_t index = best.at("index").as_u64();
     if (index >= doc.results.size()) {
       throw std::runtime_error("export: best.index " + std::to_string(index) +
                                " is out of range");
@@ -527,6 +518,14 @@ ExportDocument parse_export(const std::string& text) {
   return doc;
 }
 
+}  // namespace
+
+ExportDocument parse_export(const std::string& text) {
+  util::JsonDocument parsed;
+  util::parse_located<std::runtime_error>(parsed, text, "export: malformed JSON");
+  return util::read_located(text, "export: ", [&] { return read_export(parsed.root()); });
+}
+
 void write_export_file(const std::string& path, const ExportDocument& doc) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
@@ -537,11 +536,9 @@ void write_export_file(const std::string& path, const ExportDocument& doc) {
 }
 
 ExportDocument parse_export_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("export: cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_export(buffer.str());
+  const auto text = util::read_text_file(path);
+  if (!text) throw std::runtime_error("export: cannot open '" + path + "'");
+  return parse_export(*text);
 }
 
 ReplayOutcome replay_export(const ExportDocument& doc) {

@@ -12,6 +12,7 @@
 
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
+#include "util/strings.hpp"
 #include "util/table.hpp"
 
 namespace rooftune::trace {
@@ -162,22 +163,20 @@ void write_profile_file(const std::string& path,
 
 namespace {
 
-std::uint64_t as_u64(const util::JsonValue& v) {
-  return static_cast<std::uint64_t>(v.as_number());
+/// A record's lane.  Bounded so that a corrupt tid cannot size the lane
+/// table: lanes are threads, far fewer than this.
+std::size_t lane_index(const util::JsonValue& record) {
+  constexpr std::uint64_t kMaxLanes = 1 << 16;
+  const std::uint64_t tid = record.at("tid").as_u64();
+  if (tid >= kMaxLanes) {
+    throw std::runtime_error("profile: tid " + std::to_string(tid) +
+                             " is beyond the " + std::to_string(kMaxLanes) +
+                             "-lane limit");
+  }
+  return static_cast<std::size_t>(tid);
 }
 
-}  // namespace
-
-ProfileDocument parse_profile(const std::string& text) {
-  const util::JsonValue root = [&] {
-    try {
-      return util::parse_json(text);
-    } catch (const std::invalid_argument& e) {
-      throw std::runtime_error("profile: malformed JSON" +
-                               util::parse_error_location(text, e.what()) +
-                               ": " + e.what());
-    }
-  }();
+ProfileDocument read_profile(const util::JsonValue& root) {
   if (!root.has("traceEvents") || !root.has("metadata")) {
     throw std::runtime_error(
         "profile: not a rooftune profile sidecar (missing traceEvents or "
@@ -185,14 +184,15 @@ ProfileDocument parse_profile(const std::string& text) {
   }
 
   ProfileDocument doc;
-  const util::JsonValue& meta = root.at("metadata");
-  doc.meta.schema_version = static_cast<int>(meta.at("schema_version").as_int());
-  if (doc.meta.schema_version > kProfileSchemaVersion) {
+  const util::JsonValue meta = root.at("metadata");
+  const std::int64_t version = meta.at("schema_version").as_int();
+  if (version > kProfileSchemaVersion) {
     throw std::runtime_error(
-        "profile: schema version " + std::to_string(doc.meta.schema_version) +
+        "profile: schema version " + std::to_string(version) +
         " is newer than the newest this build reads (" +
         std::to_string(kProfileSchemaVersion) + ") — upgrade rooftune");
   }
+  doc.meta.schema_version = static_cast<int>(version);
   if (meta.has("benchmark")) doc.meta.benchmark = meta.at("benchmark").as_string();
   if (meta.has("strategy")) doc.meta.strategy = meta.at("strategy").as_string();
   if (meta.has("kernel_s_sum")) {
@@ -201,65 +201,71 @@ ProfileDocument parse_profile(const std::string& text) {
     doc.meta.setup_s_sum = meta.at("setup_s_sum").as_number();
   }
   if (meta.has("sched")) {
-    const util::JsonValue& s = meta.at("sched");
+    const util::JsonValue s = meta.at("sched");
     core::SchedulerStats stats;
     stats.mode = s.at("mode").as_string();
-    stats.workers = as_u64(s.at("workers"));
-    stats.lookahead = as_u64(s.at("lookahead"));
-    stats.tasks = as_u64(s.at("tasks"));
-    stats.steals = as_u64(s.at("steals"));
-    stats.parks = as_u64(s.at("parks"));
-    stats.idle_ns = as_u64(s.at("idle_ns"));
-    stats.busy_ns = as_u64(s.at("busy_ns"));
-    stats.commit_wait_ns = as_u64(s.at("commit_wait_ns"));
-    stats.span_ns = as_u64(s.at("span_ns"));
+    stats.workers = s.at("workers").as_u64();
+    stats.lookahead = s.at("lookahead").as_u64();
+    stats.tasks = s.at("tasks").as_u64();
+    stats.steals = s.at("steals").as_u64();
+    stats.parks = s.at("parks").as_u64();
+    stats.idle_ns = s.at("idle_ns").as_u64();
+    stats.busy_ns = s.at("busy_ns").as_u64();
+    stats.commit_wait_ns = s.at("commit_wait_ns").as_u64();
+    stats.span_ns = s.at("span_ns").as_u64();
     doc.meta.sched = std::move(stats);
   }
   if (meta.has("overhead_ns_per_record")) {
     doc.meta.overhead_ns_per_record =
         meta.at("overhead_ns_per_record").as_number();
   }
-  if (meta.has("dropped")) doc.meta.dropped = as_u64(meta.at("dropped"));
+  if (meta.has("dropped")) doc.meta.dropped = meta.at("dropped").as_u64();
   doc.snapshot.overhead_ns_per_record = doc.meta.overhead_ns_per_record;
 
   for (const util::JsonValue& lane : meta.at("lanes").as_array()) {
-    const std::size_t tid = static_cast<std::size_t>(lane.at("tid").as_int());
+    const std::size_t tid = lane_index(lane);
     if (tid >= doc.snapshot.lanes.size()) doc.snapshot.lanes.resize(tid + 1);
     doc.snapshot.lanes[tid].thread_name = lane.at("name").as_string();
-    doc.snapshot.lanes[tid].dropped = as_u64(lane.at("dropped"));
+    doc.snapshot.lanes[tid].dropped = lane.at("dropped").as_u64();
   }
 
   for (const util::JsonValue& event : root.at("traceEvents").as_array()) {
-    const std::string& ph = event.at("ph").as_string();
+    const std::string_view ph = event.at("ph").as_string();
     if (ph == "M") continue;
     if (ph != "X" && ph != "i") continue;  // foreign events: tolerate
     util::ProfileCategory category;
-    if (!util::profile_category_from_string(event.at("cat").as_string(),
-                                            category)) {
+    const std::string_view cat = event.at("cat").as_string();
+    if (!util::profile_category_from_string(cat, category)) {
       throw std::runtime_error("profile: unknown span category '" +
-                               event.at("cat").as_string() + "'");
+                               std::string(cat) + "'");
     }
-    const std::size_t tid = static_cast<std::size_t>(event.at("tid").as_int());
+    const std::size_t tid = lane_index(event);
     if (tid >= doc.snapshot.lanes.size()) doc.snapshot.lanes.resize(tid + 1);
-    const util::JsonValue& args = event.at("args");
+    const util::JsonValue args = event.at("args");
     util::ProfileRecord record;
     record.category = category;
-    record.start_ns = as_u64(args.at("s_ns"));
+    record.start_ns = args.at("s_ns").as_u64();
     record.end_ns =
-        ph == "X" ? record.start_ns + as_u64(args.at("d_ns")) : record.start_ns;
-    if (args.has("arg")) record.arg = as_u64(args.at("arg"));
+        ph == "X" ? record.start_ns + args.at("d_ns").as_u64() : record.start_ns;
+    if (args.has("arg")) record.arg = args.at("arg").as_u64();
     if (args.has("weight_s")) record.weight = args.at("weight_s").as_number();
     doc.snapshot.lanes[tid].records.push_back(record);
   }
   return doc;
 }
 
+}  // namespace
+
+ProfileDocument parse_profile(const std::string& text) {
+  util::JsonDocument parsed;
+  util::parse_located<std::runtime_error>(parsed, text, "profile: malformed JSON");
+  return util::read_located(text, "profile: ", [&] { return read_profile(parsed.root()); });
+}
+
 ProfileDocument parse_profile_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("profile: cannot read " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return parse_profile(buffer.str());
+  const auto text = util::read_text_file(path);
+  if (!text) throw std::runtime_error("profile: cannot read " + path);
+  return parse_profile(*text);
 }
 
 namespace {

@@ -1,12 +1,13 @@
 #include "trace/reader.hpp"
 
-#include <fstream>
-#include <sstream>
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "trace/journal.hpp"
 #include "util/json_parse.hpp"
+#include "util/strings.hpp"
 
 namespace rooftune::trace {
 
@@ -20,21 +21,17 @@ namespace {
   throw std::runtime_error(what);
 }
 
-std::string line_prefix(const std::string& line) {
+std::string line_prefix(std::string_view line) {
   constexpr std::size_t kMaxShown = 60;
-  if (line.size() <= kMaxShown) return line;
-  return line.substr(0, kMaxShown) + "...";
+  if (line.size() <= kMaxShown) return std::string(line);
+  return std::string(line.substr(0, kMaxShown)) + "...";
 }
 
-[[noreturn]] void fail_line(std::size_t line_number, const std::string& line,
+[[noreturn]] void fail_line(std::size_t line_number, std::string_view line,
                             const std::string& what) {
   throw std::runtime_error("trace journal line " + std::to_string(line_number) +
                            ": " + what + "\n  offending line: " +
                            line_prefix(line));
-}
-
-std::uint64_t as_u64(const util::JsonValue& v) {
-  return static_cast<std::uint64_t>(v.as_number());
 }
 
 core::Configuration read_config(const util::JsonValue& doc) {
@@ -47,16 +44,16 @@ core::Configuration read_config(const util::JsonValue& doc) {
 }
 
 core::StopReason read_reason(const util::JsonValue& doc) {
-  const std::string& text = doc.at("reason").as_string();
+  const std::string_view text = doc.at("reason").as_string();
   const auto reason = core::stop_reason_from_string(text);
-  if (!reason.has_value()) fail("unknown stop reason '" + text + "'");
+  if (!reason.has_value()) fail("unknown stop reason '" + std::string(text) + "'");
   return *reason;
 }
 
 void read_ci(const util::JsonValue& doc, const char* key, bool& have,
              double& lower, double& upper) {
   if (!doc.has(key) || doc.at(key).is_null()) return;
-  const auto& ci = doc.at(key).as_array();
+  const util::JsonValue ci = doc.at(key);
   have = true;
   lower = ci.at(0).as_number();
   upper = ci.at(1).as_number();
@@ -68,15 +65,24 @@ Journal read_journal(const std::string& text) {
   Journal journal;
   bool saw_header = false;
 
-  std::istringstream in(text);
-  std::string line;
+  // One document reused for every line: after the first few lines a line
+  // costs no allocation beyond its record's own fields.
+  util::JsonDocument parsed;
+  const std::string_view all(text);
+  journal.records.reserve(
+      static_cast<std::size_t>(std::count(all.begin(), all.end(), '\n')));
   std::size_t line_number = 0;
-  while (std::getline(in, line)) {
+  for (std::size_t begin = 0; begin < all.size();) {
+    const std::size_t newline = all.find('\n', begin);
+    const std::size_t end = newline == std::string_view::npos ? all.size() : newline;
+    const std::string_view line = all.substr(begin, end - begin);
+    begin = end + 1;
     ++line_number;
     if (line.empty()) continue;
     try {
-    util::JsonValue doc = util::parse_json(line);
-    const std::string& tag = doc.at("t").as_string();
+    parsed.parse(line);
+    const util::JsonValue doc = parsed.root();
+    const std::string_view tag = doc.at("t").as_string();
 
     if (tag == "provenance") {
       if (saw_header || !journal.records.empty()) {
@@ -86,13 +92,14 @@ Journal read_journal(const std::string& text) {
       continue;
     }
     if (tag == "run") {
-      journal.header.version = static_cast<int>(doc.at("v").as_number());
-      if (journal.header.version > kJournalSchemaVersion) {
-        fail("journal schema version " + std::to_string(journal.header.version) +
+      const std::int64_t version = doc.at("v").as_int();
+      if (version > kJournalSchemaVersion) {
+        fail("journal schema version " + std::to_string(version) +
              " is newer than the newest this build reads (" +
              std::to_string(kJournalSchemaVersion) +
              ") — upgrade rooftune to read this trace");
       }
+      journal.header.version = static_cast<int>(version);
       journal.header.benchmark = doc.at("benchmark").as_string();
       journal.header.metric = doc.at("metric").as_string();
       journal.header.strategy = doc.at("strategy").as_string();
@@ -105,24 +112,24 @@ Journal read_journal(const std::string& text) {
     if (tag == "scheduler") {
       core::SchedulerStats stats;
       stats.mode = doc.at("mode").as_string();
-      stats.workers = as_u64(doc.at("workers"));
-      stats.lookahead = as_u64(doc.at("lookahead"));
-      stats.tasks = as_u64(doc.at("tasks"));
-      stats.steals = as_u64(doc.at("steals"));
-      stats.parks = as_u64(doc.at("parks"));
-      stats.idle_ns = as_u64(doc.at("idle_ns"));
-      stats.busy_ns = as_u64(doc.at("busy_ns"));
-      stats.commit_wait_ns = as_u64(doc.at("commit_wait_ns"));
-      stats.span_ns = as_u64(doc.at("span_ns"));
+      stats.workers = doc.at("workers").as_u64();
+      stats.lookahead = doc.at("lookahead").as_u64();
+      stats.tasks = doc.at("tasks").as_u64();
+      stats.steals = doc.at("steals").as_u64();
+      stats.parks = doc.at("parks").as_u64();
+      stats.idle_ns = doc.at("idle_ns").as_u64();
+      stats.busy_ns = doc.at("busy_ns").as_u64();
+      stats.commit_wait_ns = doc.at("commit_wait_ns").as_u64();
+      stats.span_ns = doc.at("span_ns").as_u64();
       journal.scheduler = std::move(stats);
       continue;
     }
     if (tag == "summary") {
       JournalSummary summary;
-      summary.configs = as_u64(doc.at("configs"));
-      summary.pruned = as_u64(doc.at("pruned"));
-      summary.invocations = as_u64(doc.at("invocations"));
-      summary.iterations = as_u64(doc.at("iterations"));
+      summary.configs = doc.at("configs").as_u64();
+      summary.pruned = doc.at("pruned").as_u64();
+      summary.invocations = doc.at("invocations").as_u64();
+      summary.iterations = doc.at("iterations").as_u64();
       if (!doc.at("best").is_null()) summary.best = doc.at("best").as_number();
       journal.summary = summary;
       continue;
@@ -130,10 +137,10 @@ Journal read_journal(const std::string& text) {
 
     JournalRecord record;
     core::TraceEvent& e = record.event;
-    e.epoch = as_u64(doc.at("epoch"));
-    e.config_ordinal = as_u64(doc.at("ord"));
-    e.invocation = as_u64(doc.at("inv"));
-    e.rank = static_cast<int>(doc.at("rank").as_number());
+    e.epoch = doc.at("epoch").as_u64();
+    e.config_ordinal = doc.at("ord").as_u64();
+    e.invocation = doc.at("inv").as_u64();
+    e.rank = doc.at("rank").as_i32();
     e.config = read_config(doc);
 
     using Kind = core::TraceEvent::Kind;
@@ -144,7 +151,7 @@ Journal read_journal(const std::string& text) {
       e.kind = Kind::StopDecision;
       e.outer_level = doc.at("level").as_string() == "invocation";
       e.reason = read_reason(doc);
-      e.count = as_u64(doc.at("count"));
+      e.count = doc.at("count").as_u64();
       e.mean = doc.at("mean").as_number();
       read_ci(doc, "ci", e.have_ci, e.ci_lower, e.ci_upper);
       if (doc.has("kernel_s")) e.accumulated_s = doc.at("kernel_s").as_number();
@@ -154,7 +161,7 @@ Journal read_journal(const std::string& text) {
     } else if (tag == "invocation") {
       e.kind = Kind::Invocation;
       e.reason = read_reason(doc);
-      e.iterations = as_u64(doc.at("iterations"));
+      e.iterations = doc.at("iterations").as_u64();
       e.kernel_s = doc.at("kernel_s").as_number();
       e.setup_s = doc.at("setup_s").as_number();
       e.wall_s = doc.at("wall_s").as_number();
@@ -167,16 +174,16 @@ Journal read_journal(const std::string& text) {
       if (doc.has("perf")) {
         const auto& perf = doc.at("perf");
         PerfSample sample;
-        sample.cycles = as_u64(perf.at("cycles"));
-        sample.instructions = as_u64(perf.at("instructions"));
-        sample.llc_misses = as_u64(perf.at("llc_misses"));
+        sample.cycles = perf.at("cycles").as_u64();
+        sample.instructions = perf.at("instructions").as_u64();
+        sample.llc_misses = perf.at("llc_misses").as_u64();
         if (perf.has("scaled")) {
           sample.scaled = perf.at("scaled").as_bool();
           if (perf.has("time_enabled_ns")) {
-            sample.time_enabled_ns = as_u64(perf.at("time_enabled_ns"));
+            sample.time_enabled_ns = perf.at("time_enabled_ns").as_u64();
           }
           if (perf.has("time_running_ns")) {
-            sample.time_running_ns = as_u64(perf.at("time_running_ns"));
+            sample.time_running_ns = perf.at("time_running_ns").as_u64();
           }
         }
         sample.valid = true;
@@ -185,13 +192,13 @@ Journal read_journal(const std::string& text) {
       if (doc.has("arena")) {
         const auto& arena = doc.at("arena");
         util::ArenaStats stats;
-        stats.leases = as_u64(arena.at("leases"));
-        stats.slab_hits = as_u64(arena.at("slab_hits"));
-        stats.slab_misses = as_u64(arena.at("slab_misses"));
-        stats.allocations = as_u64(arena.at("allocations"));
-        stats.bytes_leased = as_u64(arena.at("bytes_leased"));
-        stats.bytes_reserved = as_u64(arena.at("bytes_reserved"));
-        stats.pages_touched = as_u64(arena.at("pages_touched"));
+        stats.leases = arena.at("leases").as_u64();
+        stats.slab_hits = arena.at("slab_hits").as_u64();
+        stats.slab_misses = arena.at("slab_misses").as_u64();
+        stats.allocations = arena.at("allocations").as_u64();
+        stats.bytes_leased = arena.at("bytes_leased").as_u64();
+        stats.bytes_reserved = arena.at("bytes_reserved").as_u64();
+        stats.pages_touched = arena.at("pages_touched").as_u64();
         e.arena_delta = stats;
       }
     } else if (tag == "config-done") {
@@ -199,34 +206,34 @@ Journal read_journal(const std::string& text) {
       e.reason = read_reason(doc);
       e.value = doc.at("value").as_number();
       e.pruned = doc.at("pruned").as_bool();
-      e.iterations = as_u64(doc.at("iterations"));
+      e.iterations = doc.at("iterations").as_u64();
       e.kernel_s = doc.at("kernel_s").as_number();
       e.setup_s = doc.at("setup_s").as_number();
     } else if (tag == "elimination") {
       e.kind = Kind::Elimination;
       e.basis = doc.at("basis").as_string();
-      e.count = as_u64(doc.at("count"));
+      e.count = doc.at("count").as_u64();
       e.mean = doc.at("mean").as_number();
       read_ci(doc, "ci", e.have_ci, e.ci_lower, e.ci_upper);
       if (doc.has("leader")) {
-        e.leader_ordinal = as_u64(doc.at("leader"));
-        const auto& ci = doc.at("leader_ci").as_array();
+        e.leader_ordinal = doc.at("leader").as_u64();
+        const util::JsonValue ci = doc.at("leader_ci");
         e.leader_ci_lower = ci.at(0).as_number();
         e.leader_ci_upper = ci.at(1).as_number();
       }
     } else if (tag == "round") {
       e.kind = Kind::Round;
-      e.survivors_before = as_u64(doc.at("before"));
-      e.survivors_after = as_u64(doc.at("after"));
-      e.eliminated = as_u64(doc.at("eliminated"));
-      e.finished = as_u64(doc.at("finished"));
+      e.survivors_before = doc.at("before").as_u64();
+      e.survivors_after = doc.at("after").as_u64();
+      e.eliminated = doc.at("eliminated").as_u64();
+      e.finished = doc.at("finished").as_u64();
     } else if (tag == "resume") {
       e.kind = Kind::Resume;
-      e.restored_configs = as_u64(doc.at("restored"));
+      e.restored_configs = doc.at("restored").as_u64();
     } else if (tag == "surrogate-fit") {
       e.kind = Kind::SurrogateFit;
       if (e.config.parameters().empty()) {
-        e.count = as_u64(doc.at("samples"));
+        e.count = doc.at("samples").as_u64();
         e.r2 = doc.at("r2").as_number();
         e.model_log_scale = doc.at("scale").as_string() == "log";
       } else {
@@ -245,18 +252,18 @@ Journal read_journal(const std::string& text) {
       if (!doc.at("incumbent").is_null()) {
         e.incumbent = doc.at("incumbent").as_number();
       }
-      e.count = as_u64(doc.at("count"));
+      e.count = doc.at("count").as_u64();
       e.mean = doc.at("mean").as_number();
     } else if (tag == "prune-batch") {
       e.kind = Kind::PruneBatch;
       if (e.config.parameters().empty()) {
-        e.scanned = as_u64(doc.at("scanned"));
-        e.kept = as_u64(doc.at("kept"));
+        e.scanned = doc.at("scanned").as_u64();
+        e.kept = doc.at("kept").as_u64();
       } else if (!doc.at("predicted").is_null()) {
         e.predicted = doc.at("predicted").as_number();
       }
     } else {
-      fail("unknown record type '" + tag + "'");
+      fail("unknown record type '" + std::string(tag) + "'");
     }
     journal.records.push_back(std::move(record));
     } catch (const std::exception& e) {
@@ -271,11 +278,9 @@ Journal read_journal(const std::string& text) {
 }
 
 Journal read_journal_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("trace journal: cannot read " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return read_journal(buffer.str());
+  const auto text = util::read_text_file(path);
+  if (!text) throw std::runtime_error("trace journal: cannot read " + path);
+  return read_journal(*text);
 }
 
 }  // namespace rooftune::trace

@@ -36,7 +36,7 @@ bool profile_category_is_instant(ProfileCategory category) {
   return kCategories[index].instant;
 }
 
-bool profile_category_from_string(const std::string& name,
+bool profile_category_from_string(std::string_view name,
                                   ProfileCategory& out) {
   for (std::size_t i = 0; i < kProfileCategoryCount; ++i) {
     if (name == kCategories[i].name) {

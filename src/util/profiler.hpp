@@ -22,6 +22,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rooftune::util {
@@ -60,7 +61,7 @@ const char* to_string(ProfileCategory category);
 bool profile_category_is_instant(ProfileCategory category);
 
 /// Parse a schema name back to its category; false when unknown.
-bool profile_category_from_string(const std::string& name,
+bool profile_category_from_string(std::string_view name,
                                   ProfileCategory& out);
 
 /// One event.  Ticks are nanoseconds since the profiler was enabled, from

@@ -73,4 +73,25 @@ std::string with_thousands(double value, int decimals) {
   return out;
 }
 
+std::optional<std::string> read_text_file(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return std::nullopt;
+  std::string text;
+  if (std::fseek(file, 0, SEEK_END) == 0) {
+    const long size = std::ftell(file);
+    if (size > 0) text.resize(static_cast<std::size_t>(size));
+    std::rewind(file);
+  }
+  text.resize(std::fread(text.data(), 1, text.size(), file));
+  // Whatever an unsized (or growing) file holds past the size read above.
+  char chunk[1 << 14];
+  for (std::size_t n; (n = std::fread(chunk, 1, sizeof chunk, file)) > 0;) {
+    text.append(chunk, n);
+  }
+  const bool failed = std::ferror(file) != 0;
+  std::fclose(file);
+  if (failed) return std::nullopt;
+  return text;
+}
+
 }  // namespace rooftune::util

@@ -1,6 +1,7 @@
 #pragma once
 // Small string helpers shared by the CLI and report formatting.
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,5 +23,9 @@ std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /// "1234567.8" → "1,234,567.8" (thousands separators for report tables).
 std::string with_thousands(double value, int decimals);
+
+/// A whole file's bytes, read into one string sized up front; nullopt when
+/// the file cannot be opened or read (each caller words its own error).
+std::optional<std::string> read_text_file(const std::string& path);
 
 }  // namespace rooftune::util

@@ -1,6 +1,7 @@
 #include "util/units.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -10,13 +11,17 @@ namespace rooftune::util {
 Bytes parse_bytes(const std::string& text) {
   if (text.empty()) throw std::invalid_argument("parse_bytes: empty string");
 
+  // Leading whitespace and '+' are accepted, as strtod does.
   std::size_t pos = 0;
+  while (pos < text.size() && std::isspace(static_cast<unsigned char>(text[pos]))) ++pos;
+  if (pos < text.size() && text[pos] == '+') ++pos;
   double magnitude = 0.0;
-  try {
-    magnitude = std::stod(text, &pos);
-  } catch (const std::exception&) {
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data() + pos, last, magnitude);
+  if (ec != std::errc()) {
     throw std::invalid_argument("parse_bytes: no leading number in '" + text + "'");
   }
+  pos = static_cast<std::size_t>(end - text.data());
   if (magnitude < 0.0) throw std::invalid_argument("parse_bytes: negative size '" + text + "'");
 
   while (pos < text.size() && std::isspace(static_cast<unsigned char>(text[pos]))) ++pos;

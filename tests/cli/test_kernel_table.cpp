@@ -168,6 +168,35 @@ TEST(CliOptions, BackendRefusesOptionsItNeverReads) {
   }
 }
 
+// roofline and stream refuse the same way, before any backend is built:
+// the --native cases below run no host kernel.
+TEST(CliOptions, RooflineAndStreamRefuseOptionsTheirBackendIgnores) {
+  const std::vector<std::vector<std::string>> with_native = {
+      {"roofline", "--native", "--machine", "gold6148"},
+      {"stream", "--native", "--machine", "gold6148"},
+      {"stream", "--native", "--sockets", "2"},
+      {"stream", "--native", "--cost-skew", "8"},
+  };
+  for (const auto& args : with_native) {
+    const auto r = run(args);
+    EXPECT_EQ(r.code, 1) << args[0] << ' ' << args[2];
+    EXPECT_NE(r.err.find(args[2] + " has no effect with --native"), std::string::npos)
+        << args[0] << ": " << r.err;
+  }
+  const std::vector<std::vector<std::string>> without_native = {
+      {"roofline", "--full-space", "--machine", "gold6148"},
+      {"roofline", "--custom-machine", "host:2.0:4:1:avx2:2:32MiB:2400:2"},
+      {"stream", "--huge-pages"},
+  };
+  for (const auto& args : without_native) {
+    const auto r = run(args);
+    EXPECT_EQ(r.code, 1) << args[0] << ' ' << args[1];
+    EXPECT_NE(r.err.find(args[1] + " has no effect without --native"),
+              std::string::npos)
+        << args[0] << ": " << r.err;
+  }
+}
+
 // The narrowed space has no enlarged variant: --grid-scale above 1 would
 // be dropped, so the pair is refused.
 TEST(CliOptions, SmallSpaceRefusesGridScale) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "roofline/advisor.hpp"
 #include "roofline/builder.hpp"
@@ -59,6 +60,13 @@ TEST(ModelJson, MalformedInputsThrow) {
   EXPECT_THROW(model_from_json(R"({"machine":"x","compute_ceilings":[{}],)"
                                R"("memory_ceilings":[]})"),
                std::out_of_range);
+  try {
+    (void)model_from_json(R"({"machine":"x","compute_ceilings":[{"name":"c",)"
+                          R"("gflops":1,"best_config":"n=abc"}],"memory_ceilings":[]})");
+    FAIL() << "expected a bad-config error";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "model_from_json: bad config 'n=abc'");
+  }
 }
 
 TEST(PlotPoints, RenderedIntoSvg) {

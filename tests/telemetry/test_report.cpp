@@ -33,15 +33,17 @@ TEST(ReadSidecar, RequiresTheHeaderFirst) {
 }
 
 TEST(ReadSidecar, ReportsTheOffendingLine) {
-  const std::string text =
-      "{\"t\":\"telemetry\",\"v\":1}\n"
-      "{\"t\":\"span\",broken\n";
-  try {
-    static_cast<void>(read_sidecar(text));
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
-        << e.what();
+  // Malformed JSON, and a well-formed record whose field has the wrong type.
+  for (const char* record : {"{\"t\":\"span\",broken",
+                             "{\"t\":\"span\",\"epoch\":\"x\",\"ord\":0,\"inv\":0}"}) {
+    const std::string text = std::string("{\"t\":\"telemetry\",\"v\":1}\n") + record + "\n";
+    try {
+      static_cast<void>(read_sidecar(text));
+      FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

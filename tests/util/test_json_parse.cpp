@@ -93,10 +93,87 @@ TEST(JsonParse, DeeplyNested) {
   for (int i = 0; i < 50; ++i) deep += "[";
   deep += "1";
   for (int i = 0; i < 50; ++i) deep += "]";
-  const auto doc = parse_json(deep);
-  const JsonValue* v = &doc;
-  for (int i = 0; i < 50; ++i) v = &v->at(0);
-  EXPECT_DOUBLE_EQ(v->as_number(), 1.0);
+  JsonValue v = parse_json(deep);
+  for (int i = 0; i < 50; ++i) v = v.at(0);
+  EXPECT_DOUBLE_EQ(v.as_number(), 1.0);
+}
+
+// Members iterate in sorted key order and the first of two duplicate keys
+// wins — what a std::map of the members gives, which the export re-writer
+// and the journal's alphabetized configs rely on.
+TEST(JsonParse, ObjectMembersIterateSortedFirstDuplicateWins) {
+  const auto doc = parse_json(R"({"b": 2, "a": 1, "c": 3, "a": 9})");
+  EXPECT_EQ(doc.size(), 3u);
+  EXPECT_EQ(doc.at("a").as_int(), 1);
+  std::string keys;
+  for (const auto& [key, value] : doc.as_object()) {
+    keys += std::string(key) + "=" + std::to_string(value.as_int()) + " ";
+  }
+  EXPECT_EQ(keys, "a=1 b=2 c=3 ");
+
+  // A large object, each key written three times in shuffled order: the
+  // first value of each key is the one kept.
+  std::string text = "{";
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 100; ++i) {
+      const int k = (i * 37 + round * 11) % 100;
+      text += "\"k" + std::to_string(k) + "\": " + std::to_string(round) + ",";
+    }
+  }
+  text.back() = '}';
+  const auto big = parse_json(text);
+  ASSERT_EQ(big.size(), 100u);
+  std::string previous;
+  for (const auto& [key, value] : big.as_object()) {
+    EXPECT_LT(previous, std::string(key));
+    EXPECT_EQ(value.as_int(), 0) << key;
+    previous = key;
+  }
+}
+
+// A parse_json result owns a copy of its text: handles stay valid after
+// the caller's string is gone.  Escaped strings decode into the document.
+TEST(JsonParse, HandlesOutliveTheCallersText) {
+  JsonValue name;
+  {
+    std::string text = R"({"name": "a\tb", "list": [1, 2]})";
+    const JsonValue doc = parse_json(text);
+    name = doc.at("name");
+    text.assign(text.size(), 'x');
+  }
+  EXPECT_EQ(name.as_string(), "a\tb");
+}
+
+// One JsonDocument parses document after document into the same buffers;
+// a failed parse leaves it empty.
+TEST(JsonParse, DocumentReparses) {
+  JsonDocument doc;
+  doc.parse(R"({"t": "first", "n": 1})");
+  EXPECT_EQ(doc.root().at("t").as_string(), "first");
+  doc.parse(R"({"t": "second\n", "n": [1, 2, 3]})");
+  EXPECT_EQ(doc.root().at("t").as_string(), "second\n");
+  EXPECT_EQ(doc.root().at("n").size(), 3u);
+  EXPECT_THROW(doc.parse("{\"t\":"), std::invalid_argument);
+  EXPECT_TRUE(doc.root().is_null());
+}
+
+// Accessor errors name the offset of the value they were asked about, so
+// parse_error_location turns them into a line and column too.
+TEST(JsonParse, AccessorErrorsNameTheirOffset) {
+  const std::string text = "{\n  \"a\": {\"b\": \"x\"}\n}";
+  const auto doc = parse_json(text);
+  try {
+    (void)doc.at("a").at("missing");
+    FAIL() << "expected a missing-key error";
+  } catch (const std::out_of_range& e) {
+    EXPECT_EQ(parse_error_location(text, e.what()), " (line 2, column 8)") << e.what();
+  }
+  try {
+    (void)doc.at("a").at("b").as_number();
+    FAIL() << "expected a type error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(parse_error_location(text, e.what()), " (line 2, column 14)") << e.what();
+  }
 }
 
 }  // namespace
