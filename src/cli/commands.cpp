@@ -589,8 +589,8 @@ void add_tune_options(ArgParser& parser, const KernelSpec& kernel) {
   parser.add_flag("json", "emit the full tuning report as JSON");
   parser.add_flag("csv", "emit per-configuration results as CSV");
   parser.add_option("checkpoint",
-                    "checkpoint file: persist progress after every configuration "
-                    "and resume interrupted searches");
+                    "checkpoint file: append every completed invocation and "
+                    "resume an interrupted search where it stopped");
   add_trace_options(parser);
   if (kernel.sim != nullptr) {
     // Registers --native even without a native backend, so that the

@@ -79,7 +79,6 @@ TuningRun Autotuner::run_coordinate_descent(
   };
 
   TuningRun run;
-  const util::Seconds begin = backend.clock().now();
   std::optional<double> incumbent;
   std::map<Configuration, double> cache;
 
@@ -96,6 +95,7 @@ TuningRun Autotuner::run_coordinate_descent(
         run_configuration(backend, config, options_, incumbent, ctx);
     run.total_iterations += result.total_iterations;
     run.total_invocations += result.invocations.size();
+    run.total_time += result.total_time;
     run.total_setup_time += result.total_setup_time;
     run.total_kernel_time += result.total_kernel_time;
     if (result.pruned()) ++run.pruned_configs;
@@ -149,7 +149,6 @@ TuningRun Autotuner::run_coordinate_descent(
     }
   }
 
-  run.total_time = backend.clock().now() - begin;
   run.arena = backend.arena_stats();
   return run;
 }
@@ -157,7 +156,6 @@ TuningRun Autotuner::run_coordinate_descent(
 TuningRun Autotuner::run_over(Backend& backend, const SpaceView& view) const {
   TuningRun run;
   run.results.reserve(view.size());
-  const util::Seconds start = backend.clock().now();
 
   std::optional<double> incumbent;
   for (std::size_t i = 0; i < view.size(); ++i) {
@@ -172,6 +170,7 @@ TuningRun Autotuner::run_over(Backend& backend, const SpaceView& view) const {
         run_configuration(backend, config, options_, incumbent, ctx);
     run.total_iterations += result.total_iterations;
     run.total_invocations += result.invocations.size();
+    run.total_time += result.total_time;
     run.total_setup_time += result.total_setup_time;
     run.total_kernel_time += result.total_kernel_time;
     if (result.pruned()) ++run.pruned_configs;
@@ -200,7 +199,6 @@ TuningRun Autotuner::run_over(Backend& backend, const SpaceView& view) const {
     if (progress_) progress_(i, view.size(), run.results.back());
   }
 
-  run.total_time = backend.clock().now() - start;
   run.arena = backend.arena_stats();
   return run;
 }

@@ -20,7 +20,7 @@ namespace rooftune::core {
 struct TuningRun {
   std::vector<ConfigResult> results;     ///< in visit order
   std::optional<std::size_t> best_index; ///< into results
-  util::Seconds total_time{0.0};         ///< backend-clock span of the run
+  util::Seconds total_time{0.0};         ///< sum of the configurations' total_time
   util::Seconds total_setup_time{0.0};   ///< setup/teardown share of total_time
   util::Seconds total_kernel_time{0.0};  ///< measured-kernel share of total_time
   std::uint64_t total_iterations = 0;

@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 
+#include "core/session.hpp"
 #include "stats/confidence.hpp"
 #include "util/profiler.hpp"
 
@@ -187,6 +188,11 @@ InvocationResult run_invocation(Backend& backend, const Configuration& config,
                                 const TunerOptions& options,
                                 std::optional<double> incumbent,
                                 const TraceContext& trace_ctx) {
+  if (options.checkpoint != nullptr) {
+    if (auto logged = options.checkpoint->replay(trace_ctx, invocation_index, options.trace)) {
+      return std::move(*logged);
+    }
+  }
   const StopSet stops = make_inner_stops(options);
   InvocationResult result;
   stats::TrendDetector trend(16);
@@ -343,6 +349,9 @@ InvocationResult run_invocation(Backend& backend, const Configuration& config,
     span.telemetry = backend.last_invocation_telemetry();
     options.trace->emit(span);
   }
+  if (options.checkpoint != nullptr) {
+    options.checkpoint->append(trace_ctx.config_ordinal, invocation_index, result);
+  }
   return result;
 }
 
@@ -355,8 +364,6 @@ ConfigResult run_configuration(Backend& backend, const Configuration& config,
   result.config = config;
   stats::TrendDetector outer_trend(8);
 
-  const util::Seconds start = backend.clock().now();
-
   EvalState state;
   state.moments = &result.outer_moments;
   state.incumbent = incumbent;
@@ -368,6 +375,7 @@ ConfigResult run_configuration(Backend& backend, const Configuration& config,
     InvocationResult invocation =
         run_invocation(backend, config, inv, options, incumbent, trace_ctx);
     result.total_iterations += invocation.iterations;
+    result.total_time += invocation.wall_time;
     result.total_setup_time += invocation.setup_time;
     result.total_kernel_time += invocation.kernel_time;
     result.outer_moments.add(invocation.mean());
@@ -424,8 +432,6 @@ ConfigResult run_configuration(Backend& backend, const Configuration& config,
       break;
     }
   }
-
-  result.total_time = backend.clock().now() - start;
 
   if (options.trace) {
     // The invocation-loop decision that retired the configuration, then the

@@ -18,6 +18,8 @@
 
 namespace rooftune::core {
 
+class InvocationLog;
+
 /// How the tuner schedules configuration evaluation.
 ///
 ///   Exhaustive — the paper's schedule: each configuration runs to
@@ -121,6 +123,11 @@ struct TunerOptions {
   /// Excluded from TuningSession fingerprints — attaching a journal never
   /// invalidates a checkpoint.
   TraceSink* trace = nullptr;
+  /// Checkpoint log (core/session.hpp), non-owning and null by default.
+  /// While it holds logged invocations, run_invocation replays them instead
+  /// of calling the backend; after that it appends every live invocation.
+  /// Set by TuningSession; excluded from fingerprints like `trace`.
+  InvocationLog* checkpoint = nullptr;
   /// Journal file path, recorded in checkpoints so a resumed session keeps
   /// appending to the trace it started (core/session.cpp refuses to resume
   /// under a different path).  Metadata only; core never opens it.
@@ -170,6 +177,8 @@ struct ConfigResult {
   std::vector<InvocationResult> invocations;
   stats::OnlineMoments outer_moments;  ///< across invocation means
   StopReason outer_stop = StopReason::None;
+  /// Sum of invocation wall_time: a pure function of the invocations, so it
+  /// is the same for any worker assignment and across checkpoint resumes.
   util::Seconds total_time{0.0};
   util::Seconds total_setup_time{0.0};   ///< sum of invocation setup_time
   util::Seconds total_kernel_time{0.0};  ///< sum of invocation kernel_time
@@ -218,8 +227,10 @@ struct CounterHint {
 
 /// Run one invocation of `config`.  `incumbent` is the best configuration
 /// value seen so far (enables inner pruning when options.inner_prune).
-/// `trace_ctx` locates the invocation in the schedule for the journal;
-/// callers without a sink can ignore it.
+/// `trace_ctx` locates the invocation in the schedule for the journal and
+/// the checkpoint log; callers without either can ignore it.  With
+/// options.checkpoint set, a logged invocation is returned without calling
+/// the backend, and a live one is appended to the log.
 InvocationResult run_invocation(Backend& backend, const Configuration& config,
                                 std::uint64_t invocation_index,
                                 const TunerOptions& options,

@@ -666,10 +666,7 @@ TuningRun ParallelEvaluator::run_surrogate(const SearchSpace& space) const {
     evaluate_pipeline(pool.get(), backends, seed_at, seeds, incumbent, results,
                       &accounting);
   }
-  for (auto& result : results) {
-    SurrogateScheduler::normalize_seed_time(*result);
-    state.seed_results.push_back(std::move(*result));
-  }
+  for (auto& result : results) state.seed_results.push_back(std::move(*result));
 
   // Fit + prune on the coordinating thread, one epoch past the seed waves.
   const std::uint64_t wave_count = (seeds + wave - 1) / wave;

@@ -155,17 +155,6 @@ void RacingScheduler::apply_counter_skips(State& state,
   }
 }
 
-void RacingScheduler::run_entry_invocation(Backend& backend, Entry& entry,
-                                           std::optional<double> incumbent,
-                                           std::size_t ordinal) const {
-  const auto invocation_index =
-      static_cast<std::uint64_t>(entry.result.invocations.size());
-  commit_invocation(entry,
-                    run_detached_invocation(backend, entry.result.config,
-                                            invocation_index, incumbent,
-                                            ordinal));
-}
-
 InvocationResult RacingScheduler::run_detached_invocation(
     Backend& backend, const Configuration& config,
     std::uint64_t invocation_index, std::optional<double> incumbent,
@@ -438,8 +427,11 @@ bool RacingScheduler::step(State& state, Backend& backend) const {
     }
     apply_counter_skips(state, block, incumbent, backend);
     for (const std::size_t i : block) {
-      if (state.entries[i].status != Status::Racing) continue;
-      run_entry_invocation(backend, state.entries[i], incumbent, i);
+      Entry& entry = state.entries[i];
+      if (entry.status != Status::Racing) continue;
+      commit_invocation(entry, run_detached_invocation(backend, entry.result.config,
+                                                       entry.result.invocations.size(),
+                                                       incumbent, i));
     }
   }
   return conclude_round(state);

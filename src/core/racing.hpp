@@ -14,18 +14,18 @@
 // (see docs/racing.md for the algorithm, its guarantees, and when
 // elimination is unsafe under warm-up trends).
 //
-// The scheduler is exposed as resumable primitives (init / round pieces /
-// finish) so three drivers share one implementation:
+// The scheduler is exposed as primitives (init / round pieces / finish) so
+// two drivers share one implementation:
 //   * RacingScheduler::run        — serial loop (Autotuner dispatches here
 //                                   when TunerOptions::strategy == Racing);
 //   * ParallelEvaluator           — each round is one deterministic wave
 //                                   over its backend pool; elimination
 //                                   decisions reduce in config order, so
 //                                   results are bit-identical for any
-//                                   worker count;
-//   * TuningSession               — serializes per-survivor partial moments
-//                                   into the checkpoint JSON after every
-//                                   round and resumes mid-race.
+//                                   worker count.
+// Every decision is a function of the invocation results, so a
+// checkpointed TuningSession resumes a race by replaying its logged
+// invocations through the serial loop (core/session.hpp).
 
 #include <cstdint>
 #include <optional>
@@ -73,8 +73,7 @@ class RacingScheduler {
   [[nodiscard]] State init(std::vector<Configuration> configs) const;
 
   /// Entries march in lockstep: a Racing entry participates in round r only
-  /// while it holds exactly r invocations, so a mid-round resume re-runs
-  /// just the entries the interruption cut off.
+  /// while it holds exactly r invocations.
   [[nodiscard]] static std::vector<std::size_t> survivors(const State& state);
 
   /// Rounds execute in config-ordered blocks of this many entries; the
@@ -88,7 +87,7 @@ class RacingScheduler {
   static constexpr std::size_t kBlock = 16;
 
   /// survivors(state) chunked into kBlock-sized runs (the unit of work
-  /// between incumbent refreshes; also the checkpoint granularity).
+  /// between incumbent refreshes).
   [[nodiscard]] static std::vector<std::vector<std::size_t>> round_blocks(
       const State& state);
 
@@ -122,18 +121,12 @@ class RacingScheduler {
   static constexpr std::uint64_t kCounterCalibration = 16;
   static constexpr double kOiTolerance = 0.05;
 
-  /// Run one invocation for `entry` (safe to call concurrently for
-  /// *distinct* entries; each backend serves one entry at a time).
-  /// `ordinal` is the entry's index in the ordered config list — it keys
-  /// the trace journal's logical sort, with the round as the epoch, so
+  /// Run one invocation of `config` on `backend` and return the result,
+  /// with no State mutation (safe to call concurrently for *distinct*
+  /// entries; each backend serves one entry at a time).  `ordinal` is the
+  /// entry's index in the ordered config list — it keys the trace journal's
+  /// logical sort and the checkpoint log, with the round as the epoch, so
   /// racing journals merge identically for any worker assignment.
-  /// Equivalent to run_detached_invocation + commit_invocation.
-  void run_entry_invocation(Backend& backend, Entry& entry,
-                            std::optional<double> incumbent,
-                            std::size_t ordinal = 0) const;
-
-  /// The execution half of run_entry_invocation, with no State mutation:
-  /// runs one invocation of `config` on `backend` and returns the result.
   /// This is what pipeline workers call — the State is owned by the
   /// coordinator, which merges results via commit_invocation strictly in
   /// block order, so out-of-order completion can never reorder the race.
@@ -144,8 +137,8 @@ class RacingScheduler {
       std::uint64_t invocation_index, std::optional<double> incumbent,
       std::size_t ordinal) const;
 
-  /// The accumulation half of run_entry_invocation: merge one completed
-  /// invocation into `entry` (moments, trend, timing sums).  Coordinator
+  /// Merge one completed invocation into `entry` (moments, trend, timing
+  /// sums), in block order.  Coordinator
   /// only — entries are never touched from worker threads in pipeline mode.
   static void commit_invocation(Entry& entry, InvocationResult invocation);
 
@@ -154,16 +147,14 @@ class RacingScheduler {
   /// Returns true while the race has survivors left.
   bool conclude_round(State& state) const;
 
-  /// Serial convenience round: survivors + frozen incumbent +
-  /// run_entry_invocation over one backend + conclude_round.
+  /// Serial round: survivors + frozen incumbent + one invocation per
+  /// survivor over one backend + conclude_round.
   bool step(State& state, Backend& backend) const;
 
   /// Reduce the final state to a TuningRun (same best/tie-breaking rule as
   /// the sequential evaluator: first strictly-greater value wins).
-  /// total_time sums per-invocation backend-clock spans — independent of
-  /// worker assignment up to floating-point round-off (a clock's `end -
-  /// start` span can shift in the last ulp with the clock's accumulated
-  /// base; every *sample statistic* stays bit-identical).
+  /// total_time sums the invocations' wall_time, like the sequential
+  /// evaluator.
   [[nodiscard]] static TuningRun finish(State state);
 
   /// Serial driver: init + step until done + finish.

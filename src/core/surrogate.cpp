@@ -139,15 +139,6 @@ SurrogateModel SurrogateModel::fit(const SearchSpace& space,
   return model;
 }
 
-SurrogateModel SurrogateModel::from_state(std::vector<double> coefficients,
-                                          bool log_scale, double r2) {
-  SurrogateModel model;
-  model.coef_ = std::move(coefficients);
-  model.log_scale_ = log_scale;
-  model.r2_ = r2;
-  return model;
-}
-
 double SurrogateModel::predict(const SearchSpace& space,
                                std::uint64_t cartesian_index) const {
   const auto f = features(space, cartesian_index);
@@ -290,21 +281,6 @@ TunerOptions SurrogateScheduler::confirm_options(TraceSink* sink) const {
   return options;
 }
 
-void SurrogateScheduler::normalize_seed_time(ConfigResult& result) {
-  util::Seconds total{0.0};
-  for (const auto& inv : result.invocations) total += inv.wall_time;
-  result.total_time = total;
-}
-
-std::optional<double> SurrogateScheduler::seed_incumbent(const State& state) {
-  std::optional<double> best;
-  for (const auto& r : state.seed_results) {
-    const double value = r.value();
-    if (!best.has_value() || value > *best) best = value;
-  }
-  return best;
-}
-
 TuningRun SurrogateScheduler::finish(State state) {
   TuningRun run;
   run.results.reserve(state.seed_results.size() + state.race.entries.size());
@@ -352,7 +328,6 @@ TuningRun SurrogateScheduler::run(Backend& backend, const SearchSpace& space) co
     ctx.config_ordinal = i;
     const Configuration config = space.config_at(state.seed_indices[i]);
     ConfigResult result = run_configuration(backend, config, options_, incumbent, ctx);
-    normalize_seed_time(result);
     const double value = result.value();
     if (!incumbent.has_value() || value > *incumbent) {
       incumbent = value;

@@ -15,10 +15,13 @@
 // Everything is deterministic: the seed sample is counter-seeded from
 // TunerOptions::random_seed, the model fit is a fixed-pivot dense solve,
 // and the prune keeps ties by ascending cartesian index.  Like racing, the
-// scheduler is exposed as resumable primitives (init / fit_and_prune /
-// finish) so the serial driver, ParallelEvaluator's deterministic waves and
-// TuningSession checkpoints share one implementation — see
-// docs/search-strategies.md for the trade-off discussion.
+// scheduler is exposed as primitives (init / fit_and_prune / finish) so the
+// serial driver and ParallelEvaluator's deterministic waves share one
+// implementation — see docs/search-strategies.md for the trade-off
+// discussion.  The fit and the confirm race are functions of the measured
+// invocations, so a checkpointed TuningSession resumes either phase by
+// replaying its logged invocations through the serial driver
+// (core/session.hpp); no model state is ever saved.
 
 #include <cstdint>
 #include <optional>
@@ -52,10 +55,6 @@ class SurrogateModel {
                                           const std::vector<std::uint64_t>& indices,
                                           const std::vector<double>& values,
                                           double lambda = 1e-6);
-
-  /// Rebuild from serialized state (checkpoint restore).
-  [[nodiscard]] static SurrogateModel from_state(std::vector<double> coefficients,
-                                                 bool log_scale, double r2);
 
   [[nodiscard]] double predict(const SearchSpace& space,
                                std::uint64_t cartesian_index) const;
@@ -97,7 +96,7 @@ class SurrogateScheduler {
 
   /// The whole search.  Seed results accumulate in seed_indices order; the
   /// confirm race is a plain RacingScheduler::State over the kept
-  /// candidates, so checkpointing and wave execution reuse racing's.
+  /// candidates, so wave execution reuses racing's.
   struct State {
     Phase phase = Phase::Seed;
     std::vector<std::uint64_t> seed_indices;
@@ -126,18 +125,6 @@ class SurrogateScheduler {
   /// Options for the confirm race, with the trace redirected through an
   /// OffsetTraceSink (pass null to keep tracing off).
   [[nodiscard]] TunerOptions confirm_options(TraceSink* sink) const;
-
-  /// Best seed value measured so far — the incumbent the confirm race and
-  /// resumed seed evaluations prune against.
-  [[nodiscard]] static std::optional<double> seed_incumbent(const State& state);
-
-  /// Rebase a seed result's total_time to the sum of its invocation wall
-  /// times (the racing convention).  run_configuration reports a clock-span
-  /// instead, whose rounding depends on the clock's accumulated base — a
-  /// quantity that changes across checkpoint resumes and worker
-  /// assignments.  The wall-time sum is a pure function of the invocations,
-  /// which is what the bit-identical resume/replay guarantee needs.
-  static void normalize_seed_time(ConfigResult& result);
 
   /// Merge seed + confirm results into the final TuningRun (seed results
   /// first, then confirm entries; first strictly-greater value wins).

@@ -43,7 +43,7 @@ enum class ProfileCategory : std::uint8_t {
   SurrogateFit,      ///< surrogate model fit + full-space prune
   SurrogateConfirm,  ///< surrogate confirm race
   JournalFlush,      ///< trace journal serialization + write
-  Checkpoint,        ///< checkpoint file write + rename
+  Checkpoint,        ///< checkpoint log append + flush
   // Instants.
   Steal,             ///< worker acquired a task from another worker
   Park,              ///< worker went to sleep on the pool condition variable

@@ -39,7 +39,13 @@ Bytes parse_bytes(const std::string& text) {
   } else {
     throw std::invalid_argument("parse_bytes: unknown suffix '" + suffix + "'");
   }
-  return Bytes{static_cast<std::uint64_t>(std::llround(magnitude * scale))};
+  // from_chars reads "nan" and "inf", and a large magnitude times its
+  // scale can pass 2^64: neither is a byte count.
+  const double bytes = std::round(magnitude * scale);
+  if (!std::isfinite(bytes) || bytes >= 18446744073709551616.0) {
+    throw std::invalid_argument("parse_bytes: size '" + text + "' is out of range");
+  }
+  return Bytes{static_cast<std::uint64_t>(bytes)};
 }
 
 std::string format_bytes(Bytes b) {

@@ -99,7 +99,8 @@ constexpr Intensity intensity(Flops work, Bytes traffic) {
 }
 
 /// "3KiB", "768MiB", "1.5GiB", "4096" → Bytes.  Throws std::invalid_argument
-/// on malformed input.  Accepted suffixes: B, KiB/K, MiB/M, GiB/G (binary).
+/// on malformed input, and on NaN, infinity or sizes of 2^64 bytes or more.
+/// Accepted suffixes: B, KiB/K, MiB/M, GiB/G (binary).
 Bytes parse_bytes(const std::string& text);
 
 /// Human-readable byte count, e.g. "768.0 MiB".

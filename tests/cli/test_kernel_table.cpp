@@ -197,6 +197,15 @@ TEST(CliOptions, RooflineAndStreamRefuseOptionsTheirBackendIgnores) {
   }
 }
 
+// An L3 size past 2^64 bytes is refused while the spec is parsed, before
+// any host kernel runs.
+TEST(CliOptions, CustomMachineRejectsAnOutOfRangeL3) {
+  const auto r = run({"roofline", "--native", "--custom-machine",
+                      "host:2.0:4:1:avx2:2:1e30K:2400:2"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("'1e30K' is out of range"), std::string::npos) << r.err;
+}
+
 // The narrowed space has no enlarged variant: --grid-scale above 1 would
 // be dropped, so the pair is refused.
 TEST(CliOptions, SmallSpaceRefusesGridScale) {

@@ -105,6 +105,30 @@ TEST(ParallelEvaluator, DeterministicModeMatchesSerialWithoutPruning) {
   expect_identical_runs(serial, parallel);
 }
 
+// Times are logical: a configuration's total_time is the sum of its
+// invocations' wall_time, never a span of whichever worker's clock ran it,
+// so every time in the report is bit-equal for any worker count.
+TEST(ParallelEvaluator, ExhaustiveTimesAreBitEqualForAnyWorkerCount) {
+  const SearchSpace space = dgemm_scaled_space(4);
+  const TunerOptions options = fast_options(false);
+  auto backend = sim_factory()();
+  const TuningRun serial = Autotuner(space, options).run(*backend);
+  for (std::size_t workers : {1u, 2u, 8u}) {
+    ParallelOptions popts;
+    popts.workers = workers;
+    popts.deterministic = true;
+    const TuningRun parallel =
+        ParallelEvaluator(sim_factory(), options, popts).run(space);
+    expect_identical_runs(serial, parallel);
+    EXPECT_EQ(parallel.total_time.value, serial.total_time.value) << workers;
+    for (std::size_t i = 0; i < serial.results.size(); ++i) {
+      ASSERT_EQ(parallel.results[i].total_time.value,
+                serial.results[i].total_time.value)
+          << workers << " workers, config " << i;
+    }
+  }
+}
+
 // With pruning, deterministic mode sees a slightly lagged incumbent, so
 // pruned configs may differ from serial — but the optimum must not.
 TEST(ParallelEvaluator, DeterministicModeFindsSerialBestWithPruning) {

@@ -260,8 +260,8 @@ TEST_F(RacingSessionTest, ResumesMidRoundBitIdentical) {
   const TuningRun reference =
       Autotuner(session_space(), racing_options()).run(straight);
 
-  // Die inside round one's second block: the surviving checkpoint holds the
-  // first block's 16 single-invocation entries.
+  // Die inside round one's second block: the surviving checkpoint holds
+  // the 18 invocations completed before the kill.
   {
     DyingSimBackend dying(machine, /*die_after=*/18);
     TuningSession session(session_space(), racing_options(), path_);
@@ -273,7 +273,7 @@ TEST_F(RacingSessionTest, ResumesMidRoundBitIdentical) {
   TuningSession session(session_space(), racing_options(), path_);
   const TuningRun resumed = session.run(healthy);
 
-  EXPECT_EQ(session.resumed_configs(), RacingScheduler::kBlock);
+  EXPECT_EQ(session.resumed_configs(), 18u);
   EXPECT_FALSE(std::filesystem::exists(path_));
   expect_identical_runs(reference, resumed);
 }

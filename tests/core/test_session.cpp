@@ -2,15 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 
 #include "fake_backend.hpp"
 #include "simhw/sim_backend.hpp"
+#include "core/report.hpp"
 #include "core/spaces.hpp"
 #include "core/techniques.hpp"
+#include "trace/export.hpp"
 
 namespace rooftune::core {
 namespace {
@@ -95,14 +104,15 @@ TEST_F(SessionTest, ResumesAfterInterruption) {
     EXPECT_TRUE(std::filesystem::exists(path_));  // partial checkpoint kept
   }
 
-  // Resume with a healthy backend: only the remaining configs run.
+  // Resume with a healthy backend: only the invocations the log lacks run.
   FakeBackend healthy;
   program(healthy);
   TuningSession session(small_space(), quick(), path_);
   const auto run = session.run(healthy);
 
-  EXPECT_EQ(session.resumed_configs(), 2u);  // configs 1 and 2 were complete
-  EXPECT_EQ(healthy.invocations_started(), 2u * 2u);  // only configs 3 and 4
+  // Configs 1 and 2 were complete, config 3 had its first invocation.
+  EXPECT_EQ(session.resumed_configs(), 3u);
+  EXPECT_EQ(healthy.invocations_started(), 3u);  // config 3's second, config 4
   EXPECT_EQ(run.results.size(), 4u);
   EXPECT_EQ(run.best_config().at("a"), 4);
   EXPECT_DOUBLE_EQ(run.best_value(), 40.0);
@@ -237,16 +247,20 @@ std::unique_ptr<simhw::SimDgemmBackend> counter_sim() {
 }
 
 /// Forwards everything to a fresh simulated backend but throws after N
-/// begin_invocation calls — a SLURM kill mid-race.  (SimDgemmBackend is
-/// final, hence the decorator.)
+/// begin_invocation calls — a SLURM kill mid-race.  With `park` it blocks
+/// there instead, for a real SIGKILL to end the process.  (SimDgemmBackend
+/// is final, hence the decorator.)
 class DyingSimBackend final : public Backend {
  public:
-  explicit DyingSimBackend(std::uint64_t die_after)
-      : inner_(counter_sim()), die_after_(die_after) {}
+  explicit DyingSimBackend(std::uint64_t die_after, bool park = false)
+      : inner_(counter_sim()), die_after_(die_after), park_(park) {}
 
   void begin_invocation(const Configuration& config,
                         std::uint64_t invocation_index) override {
-    if (started_++ >= die_after_) throw std::runtime_error("killed");
+    if (started_++ >= die_after_) {
+      while (park_) ::pause();
+      throw std::runtime_error("killed");
+    }
     inner_->begin_invocation(config, invocation_index);
   }
   Sample run_iteration() override { return inner_->run_iteration(); }
@@ -282,6 +296,7 @@ class DyingSimBackend final : public Backend {
  private:
   std::unique_ptr<simhw::SimDgemmBackend> inner_;
   std::uint64_t die_after_;
+  bool park_;
   std::uint64_t started_ = 0;
 };
 
@@ -369,6 +384,162 @@ TEST_F(SessionTest, MidEpochResumeIsBitIdenticalToUninterruptedRun) {
     EXPECT_EQ(resumed.results[i].invocations.size(),
               reference.results[i].invocations.size())
         << i;
+  }
+}
+
+// --- real kills ----------------------------------------------------------
+
+/// The CLI's c+i+o technique at a test-sized budget, under `strategy`.
+TunerOptions kill_options(SearchStrategy strategy) {
+  TunerOptions o = technique_options(Technique::CIOuter);
+  o.invocations = 3;
+  o.iterations = 25;
+  o.strategy = strategy;
+  o.surrogate_seed_budget = 12;
+  o.surrogate_confirm_top = 6;
+  return o;
+}
+
+/// The `--json` report and the `--export` document of a run.
+std::string artifacts(const TuningRun& run, const TunerOptions& options) {
+  const std::string metric = counter_sim()->metric_name();
+  return to_json(run, "dgemm", metric) + "\n" +
+         trace::write_export(trace::make_export(run, counter_space(), "dgemm",
+                                                metric, options, std::nullopt));
+}
+
+std::size_t line_count(const std::string& path) {
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  return static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+}
+
+/// Run a session in a forked child, SIGKILL it once its log holds a header
+/// and `kill_after` invocations (the child blocks in the next invocation),
+/// optionally tear the last line as a kill mid-append would, then resume
+/// here.  The report and export must be byte-identical to an uninterrupted
+/// run's.
+void expect_kill_resume_identical(const std::string& path, const TunerOptions& options,
+                                  std::uint64_t kill_after, bool tear_last_line) {
+  std::filesystem::remove(path);
+  auto reference_backend = counter_sim();
+  const TuningRun reference = Autotuner(counter_space(), options).run(*reference_backend);
+  ASSERT_GT(reference.total_invocations, kill_after);
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    DyingSimBackend parked(kill_after, /*park=*/true);
+    TuningSession session(counter_space(), options, path);
+    static_cast<void>(session.run(parked));
+    ::_exit(1);  // unreachable: the run parks before it can finish
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (line_count(path) < kill_after + 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ::kill(child, SIGKILL);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+  ASSERT_EQ(line_count(path), kill_after + 1);
+
+  if (tear_last_line) {
+    // Half of the last record survives, without its newline: the resume
+    // drops it and measures that invocation again.
+    const auto size = std::filesystem::file_size(path);
+    std::filesystem::resize_file(path, size - 40);
+    ASSERT_EQ(line_count(path), kill_after);
+  }
+
+  auto healthy = counter_sim();
+  TuningSession session(counter_space(), options, path);
+  const TuningRun resumed = session.run(*healthy);
+  EXPECT_GT(session.resumed_configs(), 0u);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_EQ(artifacts(resumed, options), artifacts(reference, options));
+}
+
+void expect_kills_resume_identical(const std::string& path, const TunerOptions& options) {
+  auto backend = counter_sim();
+  const std::uint64_t total =
+      Autotuner(counter_space(), options).run(*backend).total_invocations;
+  expect_kill_resume_identical(path, options, total / 3, false);
+  expect_kill_resume_identical(path, options, 2 * total / 3, true);
+}
+
+TEST_F(SessionTest, SigkilledExhaustiveRunResumesIdentically) {
+  expect_kills_resume_identical(path_, kill_options(SearchStrategy::Exhaustive));
+}
+
+TEST_F(SessionTest, SigkilledRacingRunResumesIdentically) {
+  expect_kills_resume_identical(path_, kill_options(SearchStrategy::Racing));
+}
+
+TEST_F(SessionTest, SigkilledCounterPruneRacingRunResumesIdentically) {
+  TunerOptions options = counter_racing_options();
+  options.order = SearchOrder::Reverse;
+  expect_kills_resume_identical(path_, options);
+}
+
+TEST_F(SessionTest, SigkilledSurrogateRunResumesIdentically) {
+  expect_kills_resume_identical(path_, kill_options(SearchStrategy::Surrogate));
+}
+
+TEST_F(SessionTest, RefusesAnOlderCheckpointFormat) {
+  // The single-document checkpoint earlier releases wrote.
+  std::ofstream(path_) << R"({"fingerprint":"00ffee0011223344","trace":null,"env":null,)"
+                          R"("elapsed_seconds":1.5,"incumbent":20,"best_index":1,"results":[]})";
+  FakeBackend backend;
+  program(backend);
+  TuningSession session(small_space(), quick(), path_);
+  try {
+    static_cast<void>(session.run(backend));
+    FAIL() << "expected the old format to be refused";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("delete it"), std::string::npos) << what;
+  }
+  EXPECT_EQ(backend.invocations_started(), 0u);
+  EXPECT_TRUE(std::filesystem::exists(path_));  // never overwritten
+}
+
+TEST_F(SessionTest, RefusesARecordForAnotherInvocation) {
+  {
+    DyingBackend dying(3);
+    program(dying);
+    TuningSession session(small_space(), quick(), path_);
+    EXPECT_THROW(static_cast<void>(session.run(dying)), std::runtime_error);
+  }
+  // Swap the second and third records: the log no longer matches the walk.
+  std::string text;
+  {
+    std::ifstream in(path_);
+    text.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  std::vector<std::string> lines;
+  for (std::size_t begin = 0; begin < text.size();) {
+    const std::size_t end = text.find('\n', begin);
+    lines.push_back(text.substr(begin, end + 1 - begin));
+    begin = end + 1;
+  }
+  ASSERT_EQ(lines.size(), 4u);
+  std::swap(lines[2], lines[3]);
+  {
+    std::ofstream out(path_, std::ios::trunc);
+    for (const auto& line : lines) out << line;
+  }
+  FakeBackend backend;
+  program(backend);
+  TuningSession session(small_space(), quick(), path_);
+  try {
+    static_cast<void>(session.run(backend));
+    FAIL() << "expected the mismatched record to be refused";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos) << e.what();
   }
 }
 

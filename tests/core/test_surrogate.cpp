@@ -109,19 +109,6 @@ TEST(SurrogateModel, PositiveTargetsFitInLogSpace) {
   }
 }
 
-TEST(SurrogateModel, StateRoundTripPreservesPredictions) {
-  SearchSpace space;
-  space.add_range(ParameterRange("a", {1, 2, 3, 4, 5}));
-  const std::vector<std::uint64_t> train{0, 1, 2, 3, 4};
-  const std::vector<double> values{1.0, 4.0, 9.0, 6.0, 2.0};
-  const SurrogateModel model = SurrogateModel::fit(space, train, values);
-  const SurrogateModel restored = SurrogateModel::from_state(
-      model.coefficients(), model.log_scale(), model.train_r2());
-  for (const auto i : train) {
-    EXPECT_EQ(model.predict(space, i), restored.predict(space, i));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // SurrogateScheduler
 
@@ -422,16 +409,15 @@ TEST_F(SurrogateSessionTest, ConfirmResumeDoesNotRefit) {
     EXPECT_THROW(static_cast<void>(session.run(dying)), std::runtime_error);
   }
   // The resumed run may only execute confirm-phase work: every seed
-  // invocation must come from the checkpoint, not the backend.  (The one
-  // confirm invocation the dying run completed may re-run — confirm
-  // checkpoints land on block boundaries — so bound, don't pin.)
+  // invocation, and the one confirm invocation the dying run completed,
+  // come from the checkpoint; the model is refitted from the logged seed
+  // results, never re-measured.
   DyingSimBackend counting(sim_backend(), ~0ull);
   TuningSession session(space, quick_options(), path_);
   const TuningRun resumed = session.run(counting);
   expect_bit_identical(reference, resumed);
-  EXPECT_GT(counting.started(), 0u);
-  EXPECT_LE(counting.started(),
-            reference.total_invocations - seed_invocations);
+  EXPECT_EQ(counting.started(),
+            reference.total_invocations - seed_invocations - 1);
 }
 
 TEST_F(SurrogateSessionTest, SurrogateKnobsChangeTheFingerprint) {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -431,18 +432,34 @@ TEST(JsonFuzz, MutatedCheckpointsFailLocated) {
     std::ifstream in(path);
     base.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
   }
-  ASSERT_FALSE(base.empty());
+  // A header line and one line per completed invocation.
+  ASSERT_EQ(std::count(base.begin(), base.end(), '\n'), 6);
 
-  const int accepted = sweep(base, 0xC4, 300, [&](const std::string& text) {
+  // JSON lines, like the journal: a rejected checkpoint names its line.
+  // Mutations that only tear the last line (or keep every line valid)
+  // resume and are accepted.
+  Xoshiro256 rng(0xC4);
+  int accepted = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string text = base;
+    const std::size_t edits = 1 + rng.below(3);
+    for (std::size_t e = 0; e < edits; ++e) mutate_once(text, rng);
     std::ofstream(path, std::ios::trunc) << text;
     core::testing::FakeBackend backend;
     program(backend);
     core::TuningSession session(small_space(), options, path);
-    (void)session.run(backend);
-  });
+    try {
+      (void)session.run(backend);
+      ++accepted;
+    } catch (const std::exception& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("checkpoint '" + path + "' line "), std::string::npos)
+          << "trial " << trial << ": " << what;
+    }
+  }
+  EXPECT_GT(accepted, 0);
   EXPECT_LT(accepted, 300);
   std::filesystem::remove(path);
-  std::filesystem::remove(path + ".tmp");
 }
 
 TEST(JsonFuzz, MutatedSearchSpacesFailLocated) {

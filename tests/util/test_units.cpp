@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
 namespace rooftune::util {
@@ -74,6 +75,23 @@ TEST(ParseBytes, RejectsMalformed) {
   EXPECT_THROW(parse_bytes("abc"), std::invalid_argument);
   EXPECT_THROW(parse_bytes("12XB"), std::invalid_argument);
   EXPECT_THROW(parse_bytes("-5K"), std::invalid_argument);
+}
+
+// NaN, infinity and sizes at or past 2^64 bytes used to come back from
+// std::llround as 2^63 bytes.
+TEST(ParseBytes, RejectsOutOfRangeSizes) {
+  for (const char* text : {"1e30K", "20000000000G", "nan", "NaN", "inf", "infinity",
+                           "18446744073709551616", "17179869184G"}) {
+    try {
+      (void)parse_bytes(text);
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(text), std::string::npos) << e.what();
+    }
+  }
+  // The largest sizes below 2^64 still parse.
+  EXPECT_EQ(parse_bytes("17179869183G").value, 17179869183ull << 30);
+  EXPECT_EQ(parse_bytes("18446744073709549568").value, 18446744073709549568ull);
 }
 
 TEST(FormatBytes, PicksHumanUnit) {
