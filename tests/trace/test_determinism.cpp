@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -226,17 +228,72 @@ TEST(TraceDeterminism, RacingJournalIsWorkerCountInvariant) {
 
 // With one-config waves at lookahead 1 every configuration sees the
 // incumbent of all earlier ones — the serial Autotuner's schedule — so the
-// journal must be byte-identical to the serial engine's, for both
-// strategies and any worker count (1 worker runs inline, without a pool).
+// journal and the report must be byte-identical to the serial run's, for
+// every strategy and any worker count (1 worker runs inline, without a
+// pool).
+struct Wave1Case {
+  const char* name;
+  core::SearchStrategy strategy;
+  bool counter_prune;
+};
+
+struct TracedRun {
+  std::string journal;
+  core::TuningRun run;
+};
+
+/// `workers` == 0 runs the serial Autotuner; otherwise the pipeline at
+/// wave 1 and lookahead 1.
+TracedRun wave1_run(const Wave1Case& c, std::size_t workers) {
+  TraceJournal journal;
+  core::TunerOptions options =
+      c.counter_prune ? counter_options(journal) : traced_options(journal);
+  options.strategy = c.strategy;
+  options.surrogate_seed_budget = 24;
+  options.surrogate_confirm_top = 8;
+  const core::SearchSpace space =
+      c.counter_prune ? counter_space() : core::dgemm_reduced_space();
+  const auto factory = c.counter_prune ? counter_factory() : sim_factory();
+  TracedRun out;
+  if (workers == 0) {
+    auto backend = factory();
+    out.run = core::Autotuner(space, options).run(*backend);
+  } else {
+    core::ParallelOptions popts;
+    popts.workers = workers;
+    popts.deterministic = true;
+    popts.wave = 1;
+    popts.lookahead = 1;
+    out.run = core::ParallelEvaluator(factory, options, popts).run(space);
+  }
+  finish(journal, out.run, c.name);
+  out.journal = journal.str();
+  return out;
+}
+
 TEST(TraceDeterminism, PipelineWave1JournalMatchesSerialJournal) {
-  for (const bool racing : {false, true}) {
-    const std::string serial = serial_journal(racing);
-    EXPECT_FALSE(serial.empty());
+  const Wave1Case cases[] = {
+      {"exhaustive", core::SearchStrategy::Exhaustive, false},
+      {"racing", core::SearchStrategy::Racing, false},
+      {"counter-prune racing", core::SearchStrategy::Racing, true},
+      {"surrogate", core::SearchStrategy::Surrogate, false},
+  };
+  for (const Wave1Case& c : cases) {
+    const TracedRun serial = wave1_run(c, 0);
+    EXPECT_FALSE(serial.journal.empty());
+    ASSERT_TRUE(serial.run.best_index.has_value()) << c.name;
     for (const std::size_t workers : {1, 4, 8}) {
-      EXPECT_EQ(serial,
-                parallel_journal(workers, racing, 1, sim_factory(), /*wave=*/1))
-          << (racing ? "racing" : "exhaustive") << " at " << workers
-          << " workers";
+      const TracedRun pipeline = wave1_run(c, workers);
+      EXPECT_EQ(serial.journal, pipeline.journal)
+          << c.name << " at " << workers << " workers";
+      EXPECT_EQ(serial.run.results.size(), pipeline.run.results.size());
+      EXPECT_EQ(serial.run.total_invocations, pipeline.run.total_invocations);
+      EXPECT_EQ(serial.run.total_iterations, pipeline.run.total_iterations);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.run.total_time.value),
+                std::bit_cast<std::uint64_t>(pipeline.run.total_time.value))
+          << c.name << " at " << workers << " workers";
+      ASSERT_TRUE(pipeline.run.best_index.has_value());
+      EXPECT_EQ(serial.run.best_value(), pipeline.run.best_value());
     }
   }
 }
