@@ -5,11 +5,36 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/racing.hpp"
-#include "core/surrogate.hpp"
-#include "util/log.hpp"
+#include "core/pipeline.hpp"
 
 namespace rooftune::core {
+
+void TuningRun::add(ConfigResult result) {
+  total_iterations += result.total_iterations;
+  total_invocations += result.invocations.size();
+  total_time += result.total_time;
+  total_setup_time += result.total_setup_time;
+  total_kernel_time += result.total_kernel_time;
+  if (result.pruned()) ++pruned_configs;
+  keep(std::move(result));
+}
+
+void TuningRun::merge(TuningRun other) {
+  total_iterations += other.total_iterations;
+  total_invocations += other.total_invocations;
+  total_time += other.total_time;
+  total_setup_time += other.total_setup_time;
+  total_kernel_time += other.total_kernel_time;
+  pruned_configs += other.pruned_configs;
+  for (ConfigResult& result : other.results) keep(std::move(result));
+}
+
+void TuningRun::keep(ConfigResult result) {
+  if (!best_index.has_value() || result.value() > results[*best_index].value()) {
+    best_index = results.size();
+  }
+  results.push_back(std::move(result));
+}
 
 const ConfigResult& TuningRun::best() const {
   if (!best_index.has_value()) {
@@ -19,29 +44,30 @@ const ConfigResult& TuningRun::best() const {
 }
 
 TuningRun Autotuner::run(Backend& backend) const {
+  Backend* const backends[] = {&backend};
+  Pipeline pipeline(options_, backends, /*pool=*/nullptr, /*wave=*/1, /*lookahead=*/1);
   if (options_.strategy == SearchStrategy::Surrogate) {
-    return SurrogateScheduler(options_).run(backend, space_);
+    return pipeline.surrogate(space_, SurrogateScheduler(options_).init(space_));
   }
   const SpaceView view(space_, options_.order, options_.random_seed);
+  const auto config_at = [&view](std::size_t i) { return view.at(i); };
   if (options_.strategy == SearchStrategy::Racing) {
-    // The race holds per-entry state for the whole population anyway, so
-    // materializing its config list costs nothing extra.
-    std::vector<Configuration> configs;
-    configs.reserve(view.size());
-    for (std::size_t i = 0; i < view.size(); ++i) configs.push_back(view.at(i));
-    return RacingScheduler(options_).run(backend, std::move(configs));
+    return pipeline.racing(config_at, view.size());
   }
-  return run_over(backend, view);
+  return pipeline.exhaustive(config_at, view.size(), progress_);
 }
 
 TuningRun Autotuner::run_random(Backend& backend, std::size_t budget) const {
-  if (budget < space_.cardinality()) {
-    // Draw through the index bijection: O(budget) work and memory instead
-    // of shuffling a materialized O(|space|) configuration vector.
-    return run_over(
-        backend, SpaceView(space_, space_.sample_indices(budget, options_.random_seed)));
-  }
-  return run_over(backend, SpaceView(space_, SearchOrder::Random, options_.random_seed));
+  // Draw through the index bijection: O(budget) work and memory instead of
+  // shuffling a materialized O(|space|) configuration vector.
+  const SpaceView view =
+      budget < space_.cardinality()
+          ? SpaceView(space_, space_.sample_indices(budget, options_.random_seed))
+          : SpaceView(space_, SearchOrder::Random, options_.random_seed);
+  Backend* const backends[] = {&backend};
+  Pipeline pipeline(options_, backends, /*pool=*/nullptr, /*wave=*/1, /*lookahead=*/1);
+  return pipeline.exhaustive([&view](std::size_t i) { return view.at(i); },
+                             view.size(), progress_);
 }
 
 TuningRun Autotuner::run_coordinate_descent(
@@ -91,34 +117,14 @@ TuningRun Autotuner::run_coordinate_descent(
     TraceContext ctx;
     ctx.epoch = run.results.size();
     ctx.config_ordinal = run.results.size();
-    ConfigResult result =
-        run_configuration(backend, config, options_, incumbent, ctx);
-    run.total_iterations += result.total_iterations;
-    run.total_invocations += result.invocations.size();
-    run.total_time += result.total_time;
-    run.total_setup_time += result.total_setup_time;
-    run.total_kernel_time += result.total_kernel_time;
-    if (result.pruned()) ++run.pruned_configs;
-    const double value = result.value();
+    run.add(run_configuration(backend, config, options_, incumbent, ctx));
+    const double value = run.results.back().value();
     cache.emplace(config, value);
-    if (!incumbent.has_value() || value > *incumbent) {
+    if (run.best_index == run.results.size() - 1) {
       incumbent = value;
-      run.best_index = run.results.size();
-      if (options_.trace) {
-        TraceEvent event;
-        event.kind = TraceEvent::Kind::IncumbentUpdate;
-        event.epoch = ctx.epoch;
-        event.config_ordinal = ctx.config_ordinal;
-        event.invocation = result.invocations.empty()
-                               ? 0
-                               : result.invocations.size() - 1;
-        event.rank = 7;
-        event.config = config;
-        event.value = value;
-        options_.trace->emit(event);
-      }
+      emit_incumbent_update(options_.trace, ctx.epoch, ctx.config_ordinal,
+                            run.results.back());
     }
-    run.results.push_back(std::move(result));
     if (progress_) progress_(run.results.size() - 1, 0, run.results.back());
     return value;
   };
@@ -147,56 +153,6 @@ TuningRun Autotuner::run_coordinate_descent(
         improved = true;
       }
     }
-  }
-
-  run.arena = backend.arena_stats();
-  return run;
-}
-
-TuningRun Autotuner::run_over(Backend& backend, const SpaceView& view) const {
-  TuningRun run;
-  run.results.reserve(view.size());
-
-  std::optional<double> incumbent;
-  for (std::size_t i = 0; i < view.size(); ++i) {
-    // Serial schedule: each configuration is its own epoch, so the journal
-    // reads in exactly the order the tuner ran.  Configurations come off
-    // the lazy view one at a time — nothing is materialized up front.
-    const Configuration config = view.at(i);
-    TraceContext ctx;
-    ctx.epoch = i;
-    ctx.config_ordinal = i;
-    ConfigResult result =
-        run_configuration(backend, config, options_, incumbent, ctx);
-    run.total_iterations += result.total_iterations;
-    run.total_invocations += result.invocations.size();
-    run.total_time += result.total_time;
-    run.total_setup_time += result.total_setup_time;
-    run.total_kernel_time += result.total_kernel_time;
-    if (result.pruned()) ++run.pruned_configs;
-
-    const double value = result.value();
-    if (!incumbent.has_value() || value > *incumbent) {
-      incumbent = value;
-      run.best_index = i;
-      util::log_debug() << "new best " << config.to_string() << " = " << value;
-      if (options_.trace) {
-        TraceEvent event;
-        event.kind = TraceEvent::Kind::IncumbentUpdate;
-        event.epoch = ctx.epoch;
-        event.config_ordinal = ctx.config_ordinal;
-        // Anchor to the last invocation so rank 7 sorts after ConfigDone.
-        event.invocation = result.invocations.empty()
-                               ? 0
-                               : result.invocations.size() - 1;
-        event.rank = 7;
-        event.config = config;
-        event.value = value;
-        options_.trace->emit(event);
-      }
-    }
-    run.results.push_back(std::move(result));
-    if (progress_) progress_(i, view.size(), run.results.back());
   }
 
   run.arena = backend.arena_stats();

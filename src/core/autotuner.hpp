@@ -2,6 +2,12 @@
 // Exhaustive autotuner with incumbent tracking (paper §IV-C: for spaces of
 // this cardinality, exhaustive search beats metaheuristics).  Also provides
 // random search as the baseline alternative the paper mentions.
+//
+// The serial run is the evaluation engine (core/pipeline.hpp) at one inline
+// worker: the caller's backend, no pool, one-configuration waves and
+// lookahead 1 — the paper's one-configuration-at-a-time schedule.
+// ParallelEvaluator runs the same engine over a pool, so serial and
+// `--workers` results come from one implementation.
 
 #include <cstdint>
 #include <functional>
@@ -36,9 +42,20 @@ struct TuningRun {
   /// journal's bit-identity boundary.
   std::optional<SchedulerStats> sched;
 
+  /// Append one configuration's result: add it to the totals and keep the
+  /// first strictly-greater value as the best.
+  void add(ConfigResult result);
+  /// Append another run's results after these, adding its totals as one
+  /// subtotal (so a phase's sums keep their own grouping).
+  void merge(TuningRun other);
+
   [[nodiscard]] const ConfigResult& best() const;
   [[nodiscard]] double best_value() const { return best().value(); }
   [[nodiscard]] const Configuration& best_config() const { return best().config; }
+
+ private:
+  /// Append without touching the totals; tracks best_index.
+  void keep(ConfigResult result);
 };
 
 class Autotuner {
@@ -62,9 +79,9 @@ class Autotuner {
   /// interleaved CI-elimination race (core/racing.hpp) instead of the
   /// paper's one-configuration-at-a-time loop; with Surrogate it is the
   /// model-guided seed → fit → prune → confirm pipeline
-  /// (core/surrogate.hpp).  run_random and run_coordinate_descent always
-  /// evaluate sequentially (their budgets / descent structure presuppose
-  /// completed evaluations).
+  /// (core/surrogate.hpp).  run_random is the exhaustive schedule over a
+  /// sample; run_coordinate_descent is its own adaptive walk (each step
+  /// depends on the previous evaluation).
   [[nodiscard]] TuningRun run(Backend& backend) const;
 
   /// Random search over `budget` configurations sampled without replacement
@@ -83,8 +100,6 @@ class Autotuner {
       Backend& backend, std::optional<Configuration> start = std::nullopt) const;
 
  private:
-  [[nodiscard]] TuningRun run_over(Backend& backend, const SpaceView& view) const;
-
   SearchSpace space_;
   TunerOptions options_;
   ProgressCallback progress_;

@@ -166,6 +166,20 @@ const char* to_string(SearchStrategy strategy) {
   return "?";
 }
 
+void emit_incumbent_update(TraceSink* trace, std::uint64_t epoch,
+                           std::uint64_t ordinal, const ConfigResult& result) {
+  if (trace == nullptr) return;
+  TraceEvent event;
+  event.kind = TraceEvent::Kind::IncumbentUpdate;
+  event.epoch = epoch;
+  event.config_ordinal = ordinal;
+  event.invocation = result.invocations.empty() ? 0 : result.invocations.size() - 1;
+  event.rank = 7;
+  event.config = result.config;
+  event.value = result.value();
+  trace->emit(event);
+}
+
 double ConfigResult::value() const {
   stats::OnlineMoments completed;
   for (const auto& inv : invocations) {

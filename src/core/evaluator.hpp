@@ -211,6 +211,13 @@ struct ConfigResult {
     const InvocationResult& invocation, const ConfigResult& result,
     const TunerOptions& options, std::optional<double> incumbent);
 
+/// Emit the rank-7 incumbent-update record: `result` (configuration
+/// `ordinal` of epoch `epoch`) just became the best value.  Anchored to its
+/// last invocation so it sorts after the config-done record.  No-op
+/// without a sink.
+void emit_incumbent_update(TraceSink* trace, std::uint64_t epoch,
+                           std::uint64_t ordinal, const ConfigResult& result);
+
 /// Pre-invocation counter hint: the backend's predicted OI for `config`
 /// (Backend::analytic_intensity) turned into a roofline ceiling in the
 /// backend's metric, with the class the ridge point assigns it.  Only

@@ -408,64 +408,10 @@ bool RacingScheduler::conclude_round(State& state) const {
   return state.active();
 }
 
-bool RacingScheduler::step(State& state, Backend& backend) const {
-  const auto blocks = round_blocks(state);
-  if (blocks.empty()) return false;
-  for (const auto& block : blocks) {
-    const auto incumbent = frozen_incumbent(state);
-    if (options_.trace && incumbent.has_value()) {
-      // The incumbent frozen for this block (rank 0 sorts it ahead of the
-      // block's first invocation in the merged journal).
-      TraceEvent event;
-      event.kind = TraceEvent::Kind::IncumbentUpdate;
-      event.epoch = state.round;
-      event.config_ordinal = block.front();
-      event.invocation = state.round;
-      event.rank = 0;
-      event.value = *incumbent;
-      options_.trace->emit(event);
-    }
-    apply_counter_skips(state, block, incumbent, backend);
-    for (const std::size_t i : block) {
-      Entry& entry = state.entries[i];
-      if (entry.status != Status::Racing) continue;
-      commit_invocation(entry, run_detached_invocation(backend, entry.result.config,
-                                                       entry.result.invocations.size(),
-                                                       incumbent, i));
-    }
-  }
-  return conclude_round(state);
-}
-
 TuningRun RacingScheduler::finish(State state) {
   TuningRun run;
   run.results.reserve(state.entries.size());
-  std::optional<double> best;
-  for (std::size_t i = 0; i < state.entries.size(); ++i) {
-    ConfigResult result = std::move(state.entries[i].result);
-    run.total_iterations += result.total_iterations;
-    run.total_invocations += result.invocations.size();
-    if (result.pruned()) ++run.pruned_configs;
-    run.total_time += result.total_time;
-    run.total_setup_time += result.total_setup_time;
-    run.total_kernel_time += result.total_kernel_time;
-    const double value = result.value();
-    if (!best.has_value() || value > *best) {
-      best = value;
-      run.best_index = i;
-    }
-    run.results.push_back(std::move(result));
-  }
-  return run;
-}
-
-TuningRun RacingScheduler::run(Backend& backend,
-                               std::vector<Configuration> configs) const {
-  State state = init(std::move(configs));
-  while (step(state, backend)) {
-  }
-  TuningRun run = finish(std::move(state));
-  run.arena = backend.arena_stats();
+  for (Entry& entry : state.entries) run.add(std::move(entry.result));
   return run;
 }
 

@@ -14,18 +14,14 @@
 // (see docs/racing.md for the algorithm, its guarantees, and when
 // elimination is unsafe under warm-up trends).
 //
-// The scheduler is exposed as primitives (init / round pieces / finish) so
-// two drivers share one implementation:
-//   * RacingScheduler::run        — serial loop (Autotuner dispatches here
-//                                   when TunerOptions::strategy == Racing);
-//   * ParallelEvaluator           — each round is one deterministic wave
-//                                   over its backend pool; elimination
-//                                   decisions reduce in config order, so
-//                                   results are bit-identical for any
-//                                   worker count.
-// Every decision is a function of the invocation results, so a
+// The scheduler is exposed as primitives (init / round pieces / finish);
+// the evaluation engine (core/pipeline.hpp) drives them.  Each round's
+// config-ordered blocks are its pipeline unit and elimination decisions
+// reduce in config order, so the serial Autotuner (one inline worker) and
+// ParallelEvaluator (a pool) give bit-identical results for any worker
+// count.  Every decision is a function of the invocation results, so a
 // checkpointed TuningSession resumes a race by replaying its logged
-// invocations through the serial loop (core/session.hpp).
+// invocations through the ordinary tuner (core/session.hpp).
 
 #include <cstdint>
 #include <optional>
@@ -147,19 +143,11 @@ class RacingScheduler {
   /// Returns true while the race has survivors left.
   bool conclude_round(State& state) const;
 
-  /// Serial round: survivors + frozen incumbent + one invocation per
-  /// survivor over one backend + conclude_round.
-  bool step(State& state, Backend& backend) const;
-
   /// Reduce the final state to a TuningRun (same best/tie-breaking rule as
   /// the sequential evaluator: first strictly-greater value wins).
   /// total_time sums the invocations' wall_time, like the sequential
   /// evaluator.
   [[nodiscard]] static TuningRun finish(State state);
-
-  /// Serial driver: init + step until done + finish.
-  [[nodiscard]] TuningRun run(Backend& backend,
-                              std::vector<Configuration> configs) const;
 
  private:
   TunerOptions options_;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "util/log.hpp"
-#include "util/profiler.hpp"
 
 namespace rooftune::core {
 namespace {
@@ -181,7 +180,6 @@ SurrogateScheduler::State SurrogateScheduler::init(const SearchSpace& space) con
   State state;
   state.seed_indices = space.latin_hypercube_indices(
       static_cast<std::size_t>(options_.surrogate_seed_budget), options_.random_seed);
-  state.seed_results.reserve(state.seed_indices.size());
   return state;
 }
 
@@ -229,7 +227,6 @@ void SurrogateScheduler::fit_and_prune(const SearchSpace& space, State& state,
     confirm_configs.push_back(space.config_at(idx));
   }
   state.race = RacingScheduler(options_).init(std::move(confirm_configs));
-  state.phase = Phase::Confirm;
 
   if (options_.trace) {
     const std::uint64_t seeds = state.seed_indices.size();
@@ -284,90 +281,9 @@ TunerOptions SurrogateScheduler::confirm_options(TraceSink* sink) const {
 TuningRun SurrogateScheduler::finish(State state) {
   TuningRun run;
   run.results.reserve(state.seed_results.size() + state.race.entries.size());
-  for (auto& result : state.seed_results) {
-    run.total_iterations += result.total_iterations;
-    run.total_invocations += result.invocations.size();
-    run.total_setup_time += result.total_setup_time;
-    run.total_kernel_time += result.total_kernel_time;
-    run.total_time += result.total_time;
-    if (result.pruned()) ++run.pruned_configs;
-    const double value = result.value();
-    if (!run.best_index.has_value() || value > run.results[*run.best_index].value()) {
-      run.best_index = run.results.size();
-    }
-    run.results.push_back(std::move(result));
-  }
-  TuningRun confirmed = RacingScheduler::finish(std::move(state.race));
-  run.total_iterations += confirmed.total_iterations;
-  run.total_invocations += confirmed.total_invocations;
-  run.total_setup_time += confirmed.total_setup_time;
-  run.total_kernel_time += confirmed.total_kernel_time;
-  run.total_time += confirmed.total_time;
-  run.pruned_configs += confirmed.pruned_configs;
-  for (auto& result : confirmed.results) {
-    const double value = result.value();
-    if (!run.best_index.has_value() || value > run.results[*run.best_index].value()) {
-      run.best_index = run.results.size();
-    }
-    run.results.push_back(std::move(result));
-  }
-  return run;
-}
-
-TuningRun SurrogateScheduler::run(Backend& backend, const SearchSpace& space) const {
-  State state = init(space);
-
-  // Seed phase: the ordinary sequential schedule over the sampled batch
-  // (each seed configuration is its own epoch, like Autotuner::run_over).
-  util::ProfileSpan seed_span(util::ProfileCategory::SurrogateSeed,
-                              state.seed_indices.size());
-  std::optional<double> incumbent;
-  for (std::size_t i = 0; i < state.seed_indices.size(); ++i) {
-    TraceContext ctx;
-    ctx.epoch = i;
-    ctx.config_ordinal = i;
-    const Configuration config = space.config_at(state.seed_indices[i]);
-    ConfigResult result = run_configuration(backend, config, options_, incumbent, ctx);
-    const double value = result.value();
-    if (!incumbent.has_value() || value > *incumbent) {
-      incumbent = value;
-      if (options_.trace) {
-        TraceEvent event;
-        event.kind = TraceEvent::Kind::IncumbentUpdate;
-        event.epoch = ctx.epoch;
-        event.config_ordinal = ctx.config_ordinal;
-        event.invocation =
-            result.invocations.empty() ? 0 : result.invocations.size() - 1;
-        event.rank = 7;
-        event.config = config;
-        event.value = value;
-        options_.trace->emit(event);
-      }
-    }
-    state.seed_results.push_back(std::move(result));
-  }
-
-  seed_span.finish();
-
-  const std::uint64_t seed_epochs = state.seed_indices.size();
-  {
-    util::ProfileSpan fit_span(util::ProfileCategory::SurrogateFit,
-                               seed_epochs);
-    fit_and_prune(space, state, seed_epochs);
-  }
-
-  // Confirm phase: the racing/CI machinery over the kept candidates, with
-  // its logical sort key shifted past the seed phase.
-  util::ProfileSpan confirm_span(util::ProfileCategory::SurrogateConfirm,
-                                 state.confirm_indices.size());
-  OffsetTraceSink sink(options_.trace, seed_epochs + 1, seed_epochs);
-  const RacingScheduler racing(confirm_options(options_.trace ? &sink : nullptr));
-  while (racing.step(state.race, backend)) {
-  }
-  confirm_span.finish();
-
-  TuningRun run = finish(std::move(state));
-  run.arena = backend.arena_stats();
+  for (ConfigResult& result : state.seed_results) run.add(std::move(result));
+  // The confirm race joins as one subtotal, after the seed sums.
+  run.merge(RacingScheduler::finish(std::move(state.race)));
   return run;
 }
 

@@ -15,13 +15,13 @@
 // Everything is deterministic: the seed sample is counter-seeded from
 // TunerOptions::random_seed, the model fit is a fixed-pivot dense solve,
 // and the prune keeps ties by ascending cartesian index.  Like racing, the
-// scheduler is exposed as primitives (init / fit_and_prune / finish) so the
-// serial driver and ParallelEvaluator's deterministic waves share one
-// implementation — see docs/search-strategies.md for the trade-off
-// discussion.  The fit and the confirm race are functions of the measured
-// invocations, so a checkpointed TuningSession resumes either phase by
-// replaying its logged invocations through the serial driver
-// (core/session.hpp); no model state is ever saved.
+// scheduler is exposed as primitives (init / fit_and_prune / finish) that
+// the evaluation engine (core/pipeline.hpp) drives, serially and over a
+// pool alike — see docs/search-strategies.md for the trade-off discussion.
+// The fit and the confirm race are functions of the measured invocations,
+// so a checkpointed TuningSession resumes either phase by replaying its
+// logged invocations through the ordinary tuner (core/session.hpp); no
+// model state is ever saved.
 
 #include <cstdint>
 #include <optional>
@@ -92,15 +92,12 @@ class OffsetTraceSink final : public TraceSink {
 
 class SurrogateScheduler {
  public:
-  enum class Phase { Seed, Confirm };
-
   /// The whole search.  Seed results accumulate in seed_indices order; the
   /// confirm race is a plain RacingScheduler::State over the kept
   /// candidates, so wave execution reuses racing's.
   struct State {
-    Phase phase = Phase::Seed;
     std::vector<std::uint64_t> seed_indices;
-    std::vector<ConfigResult> seed_results;        ///< grows to seed_indices.size()
+    std::vector<ConfigResult> seed_results;        ///< in seed_indices order
     std::optional<SurrogateModel> model;
     std::vector<std::uint64_t> confirm_indices;    ///< top-k by prediction
     std::vector<double> confirm_predicted;
@@ -129,10 +126,6 @@ class SurrogateScheduler {
   /// Merge seed + confirm results into the final TuningRun (seed results
   /// first, then confirm entries; first strictly-greater value wins).
   [[nodiscard]] static TuningRun finish(State state);
-
-  /// Serial driver: seed (epoch = seed position), fit/prune, confirm race,
-  /// finish.
-  [[nodiscard]] TuningRun run(Backend& backend, const SearchSpace& space) const;
 
  private:
   TunerOptions options_;

@@ -1,6 +1,8 @@
 #include "simhw/machine.hpp"
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "util/strings.hpp"
 
@@ -105,13 +107,24 @@ MachineSpec parse_machine_spec(const std::string& text) {
                                   " '" + fields[i] + "'");
     }
   };
+  // Range-check before the cast: a double past the int range (1e30, inf,
+  // nan) converts with undefined behaviour.
+  const auto count = [&](std::size_t i, const char* what) {
+    const double value = number(i, what);
+    if (!(value >= 1.0 && value <= std::numeric_limits<int>::max())) {
+      throw std::invalid_argument(std::string("parse_machine_spec: ") + what + " '" +
+                                  util::trim(fields[i]) + "' is out of range [1, " +
+                                  std::to_string(std::numeric_limits<int>::max()) + "]");
+    }
+    return static_cast<int>(value);
+  };
 
   MachineSpec m;
   m.name = util::trim(fields[0]);
   if (m.name.empty()) throw std::invalid_argument("parse_machine_spec: empty name");
   m.cpu_freq_ghz = number(1, "frequency");
-  m.cores_per_socket = static_cast<int>(number(2, "core count"));
-  m.sockets = static_cast<int>(number(3, "socket count"));
+  m.cores_per_socket = count(2, "core count");
+  m.sockets = count(3, "socket count");
   const std::string avx = util::to_lower(util::trim(fields[4]));
   if (avx == "avx2") {
     m.avx = AvxType::Avx2;
@@ -121,16 +134,16 @@ MachineSpec parse_machine_spec(const std::string& text) {
     throw std::invalid_argument("parse_machine_spec: avx must be avx2|avx512, got '" +
                                 fields[4] + "'");
   }
-  m.fma_units = static_cast<int>(number(5, "fma unit count"));
+  m.fma_units = count(5, "fma unit count");
   m.l3_per_socket = util::parse_bytes(util::trim(fields[6]));
   m.dram_freq_mhz = number(7, "dram transfer rate");
-  m.dram_channels_system = static_cast<int>(number(8, "channel count"));
+  m.dram_channels_system = count(8, "channel count");
   if (fields.size() == 10) m.tdp_w = number(9, "tdp");
 
-  if (m.cpu_freq_ghz <= 0.0 || m.cores_per_socket <= 0 || m.sockets <= 0 ||
-      m.fma_units <= 0 || m.dram_freq_mhz <= 0.0 || m.dram_channels_system <= 0 ||
-      m.tdp_w < 0.0) {
-    throw std::invalid_argument("parse_machine_spec: all counts must be positive");
+  if (!(m.cpu_freq_ghz > 0.0) || !(m.dram_freq_mhz > 0.0) || !(m.tdp_w >= 0.0)) {
+    throw std::invalid_argument(
+        "parse_machine_spec: frequency and transfer rate must be positive, tdp "
+        "non-negative");
   }
   return m;
 }

@@ -92,8 +92,7 @@ telemetry::EnvironmentFingerprint parse_environment(
 std::string validated_stop(const util::JsonValue& v, const char* where) {
   const std::string_view text = v.as_string();
   if (!core::stop_reason_from_string(text).has_value()) {
-    throw std::runtime_error("export: unknown stop reason '" + std::string(text) +
-                             "' in " + where);
+    v.fail("unknown stop reason '" + std::string(text) + "' in " + where);
   }
   return std::string(text);
 }

@@ -97,6 +97,11 @@ class JsonValue {
   /// Element or member count; throws std::runtime_error for scalars.
   [[nodiscard]] std::size_t size() const;
 
+  /// Throw std::runtime_error("JsonValue at offset N: " + what), naming
+  /// this value's byte offset: a reader's refusal of a well-formed value
+  /// then gets a line and column from read_located like any syntax error.
+  [[noreturn]] void fail(const std::string& what) const;
+
  private:
   friend class JsonDocument;
   friend JsonValue parse_json(std::string_view text);
@@ -110,7 +115,6 @@ class JsonValue {
   template <class Item>
   [[nodiscard]] Item item(const detail::JsonMember& member) const;
   [[nodiscard]] const detail::JsonMember* find(std::string_view key) const;
-  [[noreturn]] void fail(const std::string& what) const;
 
   const JsonDocument* doc_ = nullptr;
   const detail::JsonNode* node_ = nullptr;

@@ -206,6 +206,26 @@ TEST(CliOptions, CustomMachineRejectsAnOutOfRangeL3) {
   EXPECT_NE(r.err.find("'1e30K' is out of range"), std::string::npos) << r.err;
 }
 
+// A core, socket, FMA-unit or channel count outside [1, INT_MAX] (or not a
+// number at all) is refused by name before it is converted to an int.
+TEST(CliOptions, CustomMachineRejectsAnOutOfRangeCount) {
+  const struct {
+    const char* spec;
+    const char* message;
+  } cases[] = {
+      {"host:2.0:1e30:1:avx2:2:30MiB:2400:2", "core count '1e30' is out of range"},
+      {"host:2.0:4:inf:avx2:2:30MiB:2400:2", "socket count 'inf' is out of range"},
+      {"host:2.0:4:1:avx2:nan:30MiB:2400:2", "fma unit count 'nan' is out of range"},
+      {"host:2.0:4:1:avx2:2:30MiB:2400:3e9", "channel count '3e9' is out of range"},
+      {"host:2.0:0:1:avx2:2:30MiB:2400:2", "core count '0' is out of range"},
+  };
+  for (const auto& c : cases) {
+    const auto r = run({"roofline", "--native", "--custom-machine", c.spec});
+    EXPECT_EQ(r.code, 1) << c.spec;
+    EXPECT_NE(r.err.find(c.message), std::string::npos) << r.err;
+  }
+}
+
 // The narrowed space has no enlarged variant: --grid-scale above 1 would
 // be dropped, so the pair is refused.
 TEST(CliOptions, SmallSpaceRefusesGridScale) {

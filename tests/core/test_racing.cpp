@@ -66,21 +66,27 @@ TEST(RacingScheduler, RejectsZeroInvocations) {
   EXPECT_THROW(RacingScheduler{options}, std::invalid_argument);
 }
 
+/// A one-parameter space "a" over `values`, in order.
+SearchSpace a_space(std::vector<std::int64_t> values) {
+  SearchSpace space;
+  space.add_range(ParameterRange("a", std::move(values)));
+  return space;
+}
+
 TEST(RacingScheduler, EliminatesClearLosersAfterOneRound) {
   // Four configurations with distinct zero-variance values: the first round
   // already carries a degenerate iteration-level CI, so every loser dies
   // after exactly one sample batch while the leader runs to its cap.
   FakeBackend backend;
-  std::vector<Configuration> configs;
   for (std::int64_t a = 1; a <= 4; ++a) {
-    configs.emplace_back(Configuration({{"a", a}}));
-    backend.set_value(configs.back(), 10.0 * static_cast<double>(a));
+    backend.set_value(Configuration({{"a", a}}), 10.0 * static_cast<double>(a));
   }
 
   TunerOptions options;
   options.invocations = 5;
   options.iterations = 8;
-  const TuningRun run = RacingScheduler(options).run(backend, configs);
+  options.strategy = SearchStrategy::Racing;
+  const TuningRun run = Autotuner(a_space({1, 2, 3, 4}), options).run(backend);
 
   ASSERT_EQ(run.results.size(), 4u);
   EXPECT_EQ(run.best_config().at("a"), 4);
@@ -112,8 +118,8 @@ TEST(RacingScheduler, WarmupTrendDefersRoundOneElimination) {
   TunerOptions options;
   options.invocations = 5;
   options.iterations = 8;
-  const TuningRun run =
-      RacingScheduler(options).run(backend, {ramp, flat, leader});
+  options.strategy = SearchStrategy::Racing;
+  const TuningRun run = Autotuner(a_space({1, 2, 3}), options).run(backend);
 
   ASSERT_EQ(run.results.size(), 3u);
   EXPECT_TRUE(run.results[0].invocations.front().trend_rising);

@@ -56,6 +56,8 @@ TEST(ParseMachineSpec, Rejections) {
                std::invalid_argument);  // bad size suffix
   EXPECT_THROW(parse_machine_spec("n:2.2:0:2:avx2:2:30MiB:2400:4"),
                std::invalid_argument);  // zero cores
+  EXPECT_THROW(parse_machine_spec("n:nan:12:2:avx2:2:30MiB:2400:4"),
+               std::invalid_argument);  // NaN frequency
   EXPECT_THROW(parse_machine_spec(":2.2:12:2:avx2:2:30MiB:2400:4"),
                std::invalid_argument);  // empty name
 }

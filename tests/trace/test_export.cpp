@@ -235,6 +235,32 @@ TEST(Export, MalformedJsonReportsLineAndColumn) {
   }
 }
 
+// A well-formed document naming a stop reason the tuner does not know is
+// refused with the value's line and column, like a syntax error.
+TEST(Export, UnknownStopReasonReportsLineAndColumn) {
+  std::string text = kGoldenV1;
+  text.replace(text.find("\"results\":["), 11, "\"results\":\n[");
+  const std::string stop = "\"stop\":\"max-count\"";
+  // The second stop is the first invocation record's.
+  const auto pos = text.find(stop, text.find(stop) + 1);
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, stop.size(), "\"stop\":\"bogus\"");
+  const std::size_t value_at = pos + 7;  // the opening quote of "bogus"
+  const std::size_t column = value_at - text.rfind('\n', value_at);
+  try {
+    (void)parse_export(text);
+    FAIL() << "expected parse_export to throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown stop reason 'bogus' in an invocation record"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("(line 2, column " + std::to_string(column) + ")"),
+              std::string::npos)
+        << what;
+  }
+}
+
 TEST(Export, ReplayFlagsTamperedValues) {
   std::string tampered = kGoldenV1;
   const auto pos = tampered.find("\"value\":10.5");
