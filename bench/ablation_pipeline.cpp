@@ -1,7 +1,7 @@
 // Ablation: pipeline lookahead 1 vs 8.
 //
 // The deterministic parallel scheduler (core/parallel_evaluator.hpp) runs
-// epochs on a persistent work-stealing pool (core::EvalPool) and overlaps
+// epochs on a persistent worker pool (core::EvalPool) and overlaps
 // up to `lookahead` epochs, committing results strictly in logical order.
 // At lookahead 1 each epoch waits for the previous one to commit, so one
 // straggler idles the whole pool at every epoch boundary; lookahead 8 lets
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
       run_mode("pipeline L=8", space, machine, cost_base_s, workers, 8));
 
   util::TextTable table;
-  table.columns({"Scheduler", "Wall", "Speedup", "Idle", "Steals", "Parks",
+  table.columns({"Scheduler", "Wall", "Speedup", "Idle", "Parks",
                  "F_S1", "Best config", "Invocations"},
                 {util::Align::Left});
   const double l1_wall = modes.front().wall_s;
@@ -112,7 +112,6 @@ int main(int argc, char** argv) {
     table.add_row({mode.label, util::format("%.2fs", mode.wall_s),
                    util::format("%.2fx", l1_wall / mode.wall_s),
                    util::format("%.3f", idle_fraction(mode)),
-                   sched ? std::to_string(sched->steals) : "-",
                    sched ? std::to_string(sched->parks) : "-",
                    util::format("%.2f", mode.run.best_value()),
                    mode.run.best_config().to_string(),

@@ -5,7 +5,7 @@
 // steady-clock reads plus an append into a thread-owned ring.  This bench
 // quantifies both claims on the profiler's busiest real workload — the
 // racing strategy under the pipelined scheduler, where every task
-// evaluation, steal, park, idle interval, and commit wait records — by
+// evaluation, park, idle interval, and commit wait records — by
 // running the identical tuning problem with profiling off and on and
 // comparing host wall-clock.  Runs alternate and each mode keeps its best
 // of `reps` to push scheduler noise below the effect size.

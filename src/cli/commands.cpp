@@ -149,7 +149,7 @@ void add_parallel_options(ArgParser& parser) {
                   "pin pool workers to CPUs once at pool construction; "
                   "requires --workers");
   parser.add_flag("sched-stats",
-                  "report scheduler accounting (tasks, steals, parks, idle "
+                  "report scheduler accounting (tasks, parks, idle "
                   "fraction) and append it to the trace journal as a "
                   "{\"t\":\"scheduler\"} record; requires --workers");
 }
@@ -932,7 +932,7 @@ int cmd_profile(const std::vector<std::string>& args, std::ostream& out) {
     out << "usage: rooftune profile [--top N] [--width N] <profile.json>\n"
            "\n"
            "Analyze a self-profile written by --profile: per-category time\n"
-           "hierarchy with self times, per-worker busy/steal/park lanes as\n"
+           "hierarchy with self times, per-worker busy/park lanes as\n"
            "an ASCII Gantt, the longest spans, a critical-path estimate,\n"
            "the profiler's own overhead, and a cross-check of the profile's\n"
            "totals against the report's setup/kernel sums and the\n"

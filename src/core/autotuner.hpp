@@ -36,7 +36,7 @@ struct TuningRun {
   /// operands from a util::WorkspaceArena; aggregated across workers by
   /// ParallelEvaluator).  Reports use this to show slab hit rates.
   std::optional<util::ArenaStats> arena;
-  /// Parallel-scheduler accounting (pool idle/steal/commit-latency);
+  /// Parallel-scheduler accounting (pool idle/park/commit-latency);
   /// present only when ParallelOptions::sched_stats asked for it.  The
   /// counters are wall-clock measurements, deliberately kept out of the
   /// journal's bit-identity boundary.

@@ -1,5 +1,8 @@
 #include "core/eval_pool.hpp"
 
+#include <string>
+#include <utility>
+
 #include "util/affinity.hpp"
 #include "util/profiler.hpp"
 
@@ -17,161 +20,89 @@ std::uint64_t ns_between(Clock::time_point from, Clock::time_point to) {
 }  // namespace
 
 EvalPool::EvalPool(Options options)
-    : pin_threads_(options.pin_threads), start_(Clock::now()) {
-  const std::size_t workers = options.workers > 0 ? options.workers : 1;
-  contexts_.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    contexts_.push_back(std::make_unique<Context>());
-  }
-  threads_.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
+    : pin_threads_(options.pin_threads),
+      counters_(options.workers > 0 ? options.workers : 1),
+      start_(Clock::now()) {
+  threads_.reserve(counters_.size());
+  for (std::size_t w = 0; w < counters_.size(); ++w) {
     threads_.emplace_back([this, w] { worker_main(w); });
   }
 }
 
 EvalPool::~EvalPool() {
   {
-    const std::scoped_lock lock(park_mutex_);
-    stop_.store(true, std::memory_order_release);
+    const std::scoped_lock lock(mutex_);
+    stop_ = true;
   }
-  park_cv_.notify_all();
+  cv_.notify_all();
+  // Workers drain whatever is still queued before they exit.
   for (std::thread& thread : threads_) thread.join();
-  // All workers are gone; free anything the caller abandoned in flight.
-  for (const auto& context : contexts_) {
-    while (auto node = context->deque.pop()) delete *node;
-    for (Node* node : context->inbox) delete node;
-  }
 }
 
 void EvalPool::submit(Task task) {
-  auto node = std::make_unique<Node>();
-  node->fn = std::move(task);
-  std::size_t target = 0;
   {
-    const std::scoped_lock lock(submit_mutex_);
-    target = next_inbox_++ % contexts_.size();
+    const std::scoped_lock lock(mutex_);
+    queue_.push_back(std::move(task));
   }
-  {
-    const std::scoped_lock lock(contexts_[target]->inbox_mutex);
-    contexts_[target]->inbox.push_back(node.release());
-  }
-  pending_.fetch_add(1, std::memory_order_release);
-  // Empty critical section: a worker between its pending_ check and its
-  // cv wait holds park_mutex_, so acquiring it here guarantees the worker
-  // either saw the new pending_ value or is already waiting for notify.
-  { const std::scoped_lock lock(park_mutex_); }
-  park_cv_.notify_all();
-}
-
-EvalPool::Node* EvalPool::acquire(std::size_t w, bool& stolen) {
-  Context& self = *contexts_[w];
-  if (auto node = self.deque.pop()) {
-    pending_.fetch_sub(1, std::memory_order_relaxed);
-    return *node;
-  }
-  {
-    const std::scoped_lock lock(self.inbox_mutex);
-    for (Node* node : self.inbox) self.deque.push(node);
-    self.inbox.clear();
-  }
-  if (auto node = self.deque.pop()) {
-    pending_.fetch_sub(1, std::memory_order_relaxed);
-    return *node;
-  }
-  const std::size_t n = contexts_.size();
-  for (std::size_t k = 1; k < n; ++k) {
-    Context& victim = *contexts_[(w + k) % n];
-    if (auto node = victim.deque.steal()) {
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      stolen = true;
-      return *node;
-    }
-  }
-  for (std::size_t k = 1; k < n; ++k) {
-    Context& victim = *contexts_[(w + k) % n];
-    const std::scoped_lock lock(victim.inbox_mutex);
-    if (!victim.inbox.empty()) {
-      Node* node = victim.inbox.back();
-      victim.inbox.pop_back();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      stolen = true;
-      return node;
-    }
-  }
-  return nullptr;
+  cv_.notify_one();
 }
 
 void EvalPool::worker_main(std::size_t w) {
   if (pin_threads_) util::pin_current_thread(w);
-  Context& self = *contexts_[w];
+  Counters& self = counters_[w];
   util::Profiler& profiler = util::Profiler::instance();
   profiler.set_thread_name("worker-" + std::to_string(w));
   for (;;) {
-    bool stolen = false;
-    Node* node = acquire(w, stolen);
-    if (node == nullptr) {
-      if (stop_.load(std::memory_order_acquire)) return;
-      const Clock::time_point idle_start = Clock::now();
-      {
-        std::unique_lock lock(park_mutex_);
-        if (pending_.load(std::memory_order_acquire) == 0 &&
-            !stop_.load(std::memory_order_acquire)) {
-          self.parks.fetch_add(1, std::memory_order_relaxed);
-          profiler.instant(util::ProfileCategory::Park, w);
-          park_cv_.wait(lock, [this] {
-            return pending_.load(std::memory_order_acquire) > 0 ||
-                   stop_.load(std::memory_order_acquire);
-          });
+    Task task;
+    {
+      std::unique_lock lock(mutex_);
+      if (queue_.empty() && !stop_) {
+        self.parks.fetch_add(1, std::memory_order_relaxed);
+        profiler.instant(util::ProfileCategory::Park, w);
+        const Clock::time_point idle_start = Clock::now();
+        cv_.wait(lock, [this] { return !queue_.empty() || stop_; });
+        // The final park — ended by stop_, during pool destruction — is
+        // not idle time: the coordinator snapshots stats() before
+        // ~EvalPool, so that interval never reaches the published idle_ns.
+        if (!queue_.empty()) {
+          const Clock::time_point idle_end = Clock::now();
+          self.idle_ns.fetch_add(ns_between(idle_start, idle_end),
+                                 std::memory_order_relaxed);
+          // The profile's pool-idle span brackets exactly the interval
+          // idle_ns accumulates, so the report's cross-check compares like
+          // for like.
+          profiler.record(util::ProfileCategory::PoolIdle,
+                          profiler.to_ticks(idle_start),
+                          profiler.to_ticks(idle_end), 0.0, w);
         }
       }
-      // pending_ > 0 but our scan lost every race: yield before rescanning
-      // so a one-core host lets the winner run.
-      std::this_thread::yield();
-      const Clock::time_point idle_end = Clock::now();
-      self.idle_ns.fetch_add(ns_between(idle_start, idle_end),
-                             std::memory_order_relaxed);
-      // The profile's pool-idle span brackets exactly the interval idle_ns
-      // accumulates, so the report's cross-check compares like for like.
-      // The final park — ended by stop_, during pool destruction — is
-      // excluded: the coordinator snapshots stats() before ~EvalPool, so
-      // that tail interval never reaches the published idle_ns either.
-      if (!stop_.load(std::memory_order_acquire)) {
-        profiler.record(util::ProfileCategory::PoolIdle,
-                        profiler.to_ticks(idle_start),
-                        profiler.to_ticks(idle_end), 0.0, w);
-      }
-      continue;
-    }
-    if (stolen) {
-      self.stolen.fetch_add(1, std::memory_order_relaxed);
-      profiler.instant(util::ProfileCategory::Steal, w);
+      if (queue_.empty()) return;  // stopped and drained
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
     // Counted before the task body runs: the coordinator observes task
-    // completion from inside the body (its own done flag), so a post-run
-    // increment could read one short in stats() taken right after the last
-    // commit.
+    // completion from inside the body, so a post-run increment could read
+    // one short in stats() taken right after the last commit.
     self.executed.fetch_add(1, std::memory_order_relaxed);
     const Clock::time_point busy_start = Clock::now();
-    node->fn(w);
+    task(w);
     const Clock::time_point busy_end = Clock::now();
     self.busy_ns.fetch_add(ns_between(busy_start, busy_end),
                            std::memory_order_relaxed);
     profiler.record(util::ProfileCategory::TaskExec,
                     profiler.to_ticks(busy_start), profiler.to_ticks(busy_end),
                     0.0, w);
-    delete node;
   }
 }
 
 SchedulerStats EvalPool::stats() const {
   SchedulerStats stats;
-  stats.workers = contexts_.size();
-  for (const auto& context : contexts_) {
-    stats.tasks += context->executed.load(std::memory_order_relaxed);
-    stats.steals += context->stolen.load(std::memory_order_relaxed);
-    stats.parks += context->parks.load(std::memory_order_relaxed);
-    stats.idle_ns += context->idle_ns.load(std::memory_order_relaxed);
-    stats.busy_ns += context->busy_ns.load(std::memory_order_relaxed);
+  stats.workers = counters_.size();
+  for (const Counters& counters : counters_) {
+    stats.tasks += counters.executed.load(std::memory_order_relaxed);
+    stats.parks += counters.parks.load(std::memory_order_relaxed);
+    stats.idle_ns += counters.idle_ns.load(std::memory_order_relaxed);
+    stats.busy_ns += counters.busy_ns.load(std::memory_order_relaxed);
   }
   stats.span_ns = ns_between(start_, Clock::now());
   return stats;

@@ -5,32 +5,31 @@
 // Threads are created once (and optionally pinned once, via
 // util::pin_current_thread) and live for the pool's lifetime, so epochs,
 // racing rounds and surrogate phases pay no thread spawn/join per epoch.
-// Each worker owns a Chase–Lev deque (util/work_steal.hpp); submit()
-// round-robins tasks into small mutex-protected inboxes that workers
-// drain into their own deque, so the submitting coordinator never touches
-// a deque it does not own.  Idle workers first sweep every other worker's
-// deque and inbox, then park on a condition variable until new work or
-// shutdown.
+// The pool is one mutex-guarded FIFO queue: submit() appends a task and
+// wakes one parked worker; a worker takes the oldest task, or parks on the
+// condition variable until new work or shutdown.  Only the pipeline's
+// coordinator submits, and a task is a whole configuration or one racing
+// invocation, so one lock serves this traffic; FIFO order also runs tasks
+// in the order the commit window retires them.
 //
-// Determinism contract: the pool itself guarantees nothing about ORDER —
-// tasks run on whichever worker gets there first.  Result ordering is the
-// caller's job (ParallelEvaluator's in-order commit stage); tasks must
-// also catch their own exceptions, because a throw from a task body would
-// terminate the process.
+// Determinism contract: the pool itself guarantees nothing about which
+// worker runs a task or when it finishes.  Result ordering is the caller's
+// job (the pipeline's in-order commit window); tasks must also catch their
+// own exceptions, because a throw from a task body would terminate the
+// process.
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/sched_stats.hpp"
-#include "util/work_steal.hpp"
 
 namespace rooftune::core {
 
@@ -53,51 +52,38 @@ class EvalPool {
   EvalPool(const EvalPool&) = delete;
   EvalPool& operator=(const EvalPool&) = delete;
 
-  [[nodiscard]] std::size_t workers() const { return contexts_.size(); }
+  [[nodiscard]] std::size_t workers() const { return counters_.size(); }
 
-  /// Enqueue a task; wakes parked workers.  Any thread may call this,
-  /// though the evaluator only ever submits from its coordinator.
+  /// Enqueue a task at the back of the queue and wake one parked worker.
+  /// Any thread may call this, though the evaluator only ever submits from
+  /// its coordinator.
   void submit(Task task);
 
   /// Aggregate per-worker counters.  mode/lookahead/tasks/commit_wait_ns
   /// are the caller's to fill in; the pool reports what it can observe
-  /// (steals, parks, idle/busy time, span).
+  /// (parks, idle/busy time, span; steals are always 0).
   [[nodiscard]] SchedulerStats stats() const;
 
  private:
-  struct Node {
-    Task fn;
-  };
-  struct Context {
-    util::WorkStealDeque<Node*> deque;
-    std::mutex inbox_mutex;
-    std::vector<Node*> inbox;
+  struct Counters {
     std::atomic<std::uint64_t> executed{0};
-    std::atomic<std::uint64_t> stolen{0};
     std::atomic<std::uint64_t> parks{0};
     std::atomic<std::uint64_t> idle_ns{0};
     std::atomic<std::uint64_t> busy_ns{0};
   };
 
   void worker_main(std::size_t w);
-  /// One full acquire attempt: own deque, own inbox, then steal sweep.
-  Node* acquire(std::size_t w, bool& stolen);
 
   const bool pin_threads_;
-  std::vector<std::unique_ptr<Context>> contexts_;
-  std::vector<std::thread> threads_;
-
-  std::mutex park_mutex_;
-  std::condition_variable park_cv_;
-  /// Tasks submitted but not yet picked up by any worker; the park
-  /// predicate — workers sleep only when this is zero.
-  std::atomic<std::int64_t> pending_{0};
-  std::atomic<bool> stop_{false};
-
-  std::mutex submit_mutex_;
-  std::size_t next_inbox_ = 0;  ///< round-robin cursor, guarded by submit_mutex_
-
+  std::vector<Counters> counters_;
   std::chrono::steady_clock::time_point start_;
+
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::deque<Task> queue_;  ///< guarded by mutex_
+  bool stop_ = false;       ///< guarded by mutex_
+
+  std::vector<std::thread> threads_;  ///< last: the workers use every member
 };
 
 }  // namespace rooftune::core

@@ -157,7 +157,7 @@ void ParallelEvaluator::attach_sched_stats(
   stats.workers = pool != nullptr ? pool->workers() : backend_count;
   stats.lookahead = lookahead();
   // Inline pipeline (no pool) executes on the coordinator: the committed
-  // task count is still meaningful, idle/steal counters are structurally 0.
+  // task count is still meaningful, idle/park counters are structurally 0.
   if (pool == nullptr) stats.tasks = accounting.tasks;
   stats.commit_wait_ns = accounting.commit_wait_ns;
   run.sched = stats;

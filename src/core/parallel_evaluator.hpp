@@ -4,7 +4,7 @@
 // The paper evaluates the 96-config DGEMM space strictly sequentially; on
 // backends whose instances are independent (Backend::reentrant()) nothing
 // forces that.  ParallelEvaluator gives every worker its own backend
-// instance from a user factory, owns a persistent work-stealing pool
+// instance from a user factory, owns a persistent worker pool
 // (core::EvalPool), and runs the evaluation engine (core/pipeline.hpp)
 // over them.  The serial Autotuner is the same engine at one inline
 // worker, wave 1 and lookahead 1, so at those settings this evaluator

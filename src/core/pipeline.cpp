@@ -22,17 +22,6 @@ std::uint64_t ns_between(Clock::time_point from, Clock::time_point to) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
 }
 
-/// Coordinator/worker rendezvous for the pipeline drivers: every shared
-/// mutation (results, completion flags, failure, in-flight count) happens
-/// under one mutex, and the condition variable wakes the committing
-/// coordinator.
-struct PipelineSync {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::exception_ptr failure;
-  std::size_t in_flight = 0;
-};
-
 }  // namespace
 
 Pipeline::Pipeline(const TunerOptions& options, std::span<Backend* const> backends,
@@ -57,159 +46,162 @@ std::optional<util::ArenaStats> Pipeline::arena_stats() const {
   return total;
 }
 
-TuningRun Pipeline::exhaustive(const ConfigAt& config_at, std::size_t n,
-                               const Autotuner::ProgressCallback& progress) {
-  const std::size_t epochs = (n + wave_ - 1) / wave_;
-  TuningRun run;
-  run.results.reserve(n);
-
-  PipelineSync sync;
+void Pipeline::window(std::size_t epochs, std::optional<double> entry_incumbent,
+                      const Start& start, const Commit& commit) {
+  // Every shared mutation (epoch completion, failure, in-flight count)
+  // happens under `mutex`; `cv` wakes the committing coordinator.
+  struct EpochState {
+    std::size_t tasks = 0;
+    std::size_t remaining = 0;  ///< tasks not yet finished
+    bool broken = false;        ///< a task failed or was cancelled
+    Clock::time_point done_at;  ///< when its last task finished
+  };
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::exception_ptr failure;
+  std::size_t in_flight = 0;
   std::atomic<bool> cancelled{false};
-  // Workers fill results[i] out of order; done[i] flips when task i
-  // finished (with a result, or cancelled after a failure), and the commit
-  // frontier only crosses contiguous done slots.
-  std::vector<std::optional<ConfigResult>> results(n);
-  std::vector<std::uint8_t> done(n, 0);
-  std::vector<Clock::time_point> done_at(n);
+  std::vector<EpochState> state(epochs);
 
-  // snapshots[k] = incumbent (the best committed value) once k epochs have
-  // committed.  Epoch e executes against snapshots[max(0, e+1-lookahead)]
-  // — the incumbent after every earlier epoch at lookahead 1 — so every
-  // task's input is a pure function of the schedule, never of worker
-  // timing.
+  // snapshots[k] = incumbent once k epochs have committed.  Epoch e starts
+  // against snapshots[max(0, e+1-lookahead)] — the incumbent after every
+  // earlier epoch at lookahead 1.
   std::vector<std::optional<double>> snapshots(epochs + 1);
-  std::optional<double> incumbent;
+  snapshots[0] = entry_incumbent;
 
-  std::size_t dispatched = 0;
-  std::size_t committed = 0;
-  std::size_t committed_epochs = 0;
-
-  const auto dispatch_one = [&](std::size_t i) {
-    const std::uint64_t epoch = static_cast<std::uint64_t>(i / wave_);
-    const std::optional<double> frozen =
-        snapshots[epoch + 1 > lookahead_ ? epoch + 1 - lookahead_ : 0];
+  const auto launch = [&](std::size_t e) {
+    std::vector<Task> tasks =
+        start(e, snapshots[e + 1 > lookahead_ ? e + 1 - lookahead_ : 0]);
     {
-      const std::scoped_lock lock(sync.mutex);
-      ++sync.in_flight;
+      const std::scoped_lock lock(mutex);
+      state[e].tasks = state[e].remaining = tasks.size();
+      in_flight += tasks.size();
+      if (tasks.empty()) state[e].done_at = Clock::now();
     }
-    auto task = [&, i, epoch, frozen](std::size_t worker) noexcept {
-      std::optional<ConfigResult> result;
-      std::exception_ptr error;
-      if (!cancelled.load(std::memory_order_acquire)) {
-        try {
-          TraceContext ctx;
-          ctx.epoch = epoch;
-          ctx.config_ordinal = i;
-          result.emplace(run_configuration(*backends_[worker], config_at(i),
-                                           options_, frozen, ctx));
-        } catch (...) {
-          error = std::current_exception();
+    for (Task& work : tasks) {
+      auto task = [&, e, body = std::move(work)](std::size_t worker) noexcept {
+        bool ran = false;
+        std::exception_ptr error;
+        if (!cancelled.load(std::memory_order_acquire)) {
+          try {
+            body(*backends_[worker]);
+            ran = true;
+          } catch (...) {
+            error = std::current_exception();
+          }
         }
-      }
-      {
-        const std::scoped_lock lock(sync.mutex);
-        if (result.has_value()) results[i] = std::move(result);
-        if (error && !sync.failure) {
-          sync.failure = error;
+        const std::scoped_lock lock(mutex);
+        if (error && !failure) {
+          failure = error;
           cancelled.store(true, std::memory_order_release);
         }
-        done[i] = 1;
-        done_at[i] = Clock::now();
-        --sync.in_flight;
-        // Notify under the lock: the coordinator destroys `sync` as soon
-        // as its predicate holds, so an unlocked notify could touch a dead
+        if (!ran) state[e].broken = true;
+        if (--state[e].remaining == 0) state[e].done_at = Clock::now();
+        --in_flight;
+        // Notify under the lock: the coordinator destroys `cv` as soon as
+        // its predicate holds, so an unlocked notify could touch a dead
         // condition variable.
-        sync.cv.notify_all();
+        cv.notify_all();
+      };
+      if (pool_ != nullptr) {
+        pool_->submit(std::move(task));
+      } else {
+        task(0);
       }
-    };
-    if (pool_ != nullptr) {
-      pool_->submit(std::move(task));
-    } else {
-      task(0);
     }
   };
 
+  const auto drain = [&] {
+    std::unique_lock lock(mutex);
+    cv.wait(lock, [&] { return in_flight == 0; });
+  };
+
   try {
-    bool aborted = false;
-    while (committed < n && !aborted) {
-      // Fill the dispatch window: every config whose epoch is within
-      // `lookahead` of the committed-epoch frontier.
-      for (;;) {
-        {
-          const std::scoped_lock lock(sync.mutex);
-          if (sync.failure) break;
-        }
-        if (dispatched >= n ||
-            dispatched / wave_ >= committed_epochs + lookahead_) {
-          break;
-        }
-        dispatch_one(dispatched);
-        ++dispatched;
+    std::size_t launched = 0;
+    for (std::size_t e = 0; e < epochs; ++e) {
+      while (launched < std::min(epochs, e + lookahead_) &&
+             !cancelled.load(std::memory_order_acquire)) {
+        launch(launched++);
       }
-
-      // Wait until the commit frontier can advance (or everything drained
-      // after a failure).
+      Clock::time_point done_at;
       {
-        std::unique_lock lock(sync.mutex);
-        sync.cv.wait(lock, [&] {
-          return done[committed] != 0 ||
-                 (sync.failure && sync.in_flight == 0);
+        std::unique_lock lock(mutex);
+        cv.wait(lock, [&] {
+          return (e < launched && state[e].remaining == 0) ||
+                 (failure && in_flight == 0);
         });
-        if (done[committed] == 0) break;  // failure drained; nothing to commit
+        // After a failure the window stops at the first epoch that never
+        // started or lost a task; the epochs before it still commit.
+        if (e >= launched || state[e].broken) break;
+        done_at = state[e].done_at;
       }
-
-      // Retire every contiguous completed result, strictly in config
-      // order.  This is the only place the incumbent advances, so the
-      // rank-7 events and the progress callback follow config order,
-      // whatever the worker count.
-      while (committed < n) {
-        {
-          const std::scoped_lock lock(sync.mutex);
-          if (done[committed] == 0) break;
-        }
-        if (!results[committed].has_value()) {  // cancelled task: failing run
-          aborted = true;
-          break;
-        }
-        const std::size_t i = committed;
-        util::Profiler& profiler = util::Profiler::instance();
-        const Clock::time_point commit_at = Clock::now();
-        accounting_.commit_wait_ns += ns_between(done_at[i], commit_at);
-        ++accounting_.tasks;
-        // Same interval commit_wait_ns accumulates: task done → committed.
-        profiler.record(util::ProfileCategory::CommitWait,
-                        profiler.to_ticks(done_at[i]),
-                        profiler.to_ticks(commit_at), 0.0, i);
-        run.add(std::move(*results[i]));
-        const ConfigResult& result = run.results.back();
-        if (run.best_index == i) {
-          incumbent = result.value();
-          profiler.instant(util::ProfileCategory::Incumbent, i);
-          emit_incumbent_update(options_.trace, i / wave_, i, result);
-        }
-        if (progress) progress(i, n, result);
-        ++committed;
-        if (committed % wave_ == 0 || committed == n) {
-          snapshots[++committed_epochs] = incumbent;
-          profiler.instant(util::ProfileCategory::Epoch, committed_epochs);
-        }
-      }
+      util::Profiler& profiler = util::Profiler::instance();
+      const Clock::time_point commit_at = Clock::now();
+      accounting_.commit_wait_ns += ns_between(done_at, commit_at);
+      accounting_.tasks += state[e].tasks;
+      profiler.record(util::ProfileCategory::CommitWait,
+                      profiler.to_ticks(done_at), profiler.to_ticks(commit_at),
+                      0.0, e);
+      snapshots[e + 1] = commit(e);
     }
   } catch (...) {
     // Coordinator-side failure (trace sink, progress callback): stop
-    // issuing work, let in-flight tasks drain against live stack frames,
+    // starting work, let in-flight tasks drain against live stack frames,
     // then rethrow.
     cancelled.store(true, std::memory_order_release);
-    std::unique_lock lock(sync.mutex);
-    sync.cv.wait(lock, [&] { return sync.in_flight == 0; });
+    drain();
     throw;
   }
+  drain();
+  if (failure) std::rethrow_exception(failure);
+}
 
-  {
-    std::unique_lock lock(sync.mutex);
-    sync.cv.wait(lock, [&] { return sync.in_flight == 0; });
-    if (sync.failure) std::rethrow_exception(sync.failure);
-  }
+TuningRun Pipeline::exhaustive(const ConfigAt& config_at, std::size_t n,
+                               const Autotuner::ProgressCallback& progress) {
+  TuningRun run;
+  run.results.reserve(n);
+  // Workers fill results[i] out of order; the commit reads an epoch's
+  // slots only once all of them are filled.
+  std::vector<std::optional<ConfigResult>> results(n);
+  std::optional<double> incumbent;
+  const auto first = [&](std::size_t e) { return e * wave_; };
+  const auto last = [&](std::size_t e) { return std::min(n, (e + 1) * wave_); };
+
+  window(
+      (n + wave_ - 1) / wave_, std::nullopt,
+      [&](std::size_t e, std::optional<double> frozen) {
+        std::vector<Task> tasks;
+        tasks.reserve(last(e) - first(e));
+        for (std::size_t i = first(e); i < last(e); ++i) {
+          tasks.emplace_back([&, e, i, frozen](Backend& backend) {
+            TraceContext ctx;
+            ctx.epoch = e;
+            ctx.config_ordinal = i;
+            results[i].emplace(
+                run_configuration(backend, config_at(i), options_, frozen, ctx));
+          });
+        }
+        return tasks;
+      },
+      [&](std::size_t e) {
+        // The only place the incumbent advances, so the rank-7 events and
+        // the progress callback follow config order, whatever the worker
+        // count.
+        util::Profiler& profiler = util::Profiler::instance();
+        for (std::size_t i = first(e); i < last(e); ++i) {
+          run.add(std::move(*results[i]));
+          const ConfigResult& result = run.results.back();
+          if (run.best_index == i) {
+            incumbent = result.value();
+            profiler.instant(util::ProfileCategory::Incumbent, i);
+            emit_incumbent_update(options_.trace, e, i, result);
+          }
+          if (progress) progress(i, n, result);
+        }
+        profiler.instant(util::ProfileCategory::Epoch, e + 1);
+        return incumbent;
+      });
+
   run.arena = arena_stats();
   return run;
 }
@@ -276,171 +268,60 @@ void Pipeline::race(const RacingScheduler& scheduler,
   for (;;) {
     const auto blocks = RacingScheduler::round_blocks(state);
     if (blocks.empty()) break;
-    const std::size_t nblocks = blocks.size();
     util::ProfileSpan round_span(util::ProfileCategory::RacingRound,
                                  state.round);
 
-    PipelineSync sync;
-    std::atomic<bool> cancelled{false};
-    // One pending slot per runnable entry of each block, filled by workers
-    // out of order and merged by the coordinator strictly in block order.
-    struct PendingInvocation {
+    // One slot per runnable entry of each block, filled by workers out of
+    // order and merged by the commit strictly in block order.
+    struct Pending {
       std::size_t entry = 0;
       InvocationResult result;
-      bool valid = false;
     };
-    std::vector<std::vector<PendingInvocation>> pending(nblocks);
-    std::vector<std::size_t> remaining(nblocks, 0);
-    std::vector<Clock::time_point> block_done_at(nblocks);
+    std::vector<std::vector<Pending>> pending(blocks.size());
 
-    // snapshots[k] = frozen incumbent after k blocks of this round have
-    // committed (index 0 = round entry).  Block b dispatches against
-    // snapshots[max(0, b+1-lookahead)]; at lookahead 1 every block sees all
-    // earlier blocks.  The window resets each round — the round barrier
-    // stays, because conclude_round needs the whole round.
-    std::vector<std::optional<double>> snapshots(nblocks + 1);
-    snapshots[0] = RacingScheduler::frozen_incumbent(state);
+    window(
+        blocks.size(), RacingScheduler::frozen_incumbent(state),
+        [&](std::size_t b, std::optional<double> incumbent) {
+          const std::vector<std::size_t>& block = blocks[b];
+          if (options.trace && incumbent.has_value()) {
+            // The incumbent frozen for this block (rank 0 sorts it ahead of
+            // the block's first invocation in the merged journal).
+            TraceEvent event;
+            event.kind = TraceEvent::Kind::IncumbentUpdate;
+            event.epoch = state.round;
+            event.config_ordinal = block.front();
+            event.invocation = state.round;
+            event.rank = 0;
+            event.value = *incumbent;
+            options.trace->emit(event);
+          }
+          scheduler.apply_counter_skips(state, block, incumbent, *backends_[0]);
 
-    // Dispatch prologue runs on the coordinator at a schedule-determined
-    // point (exactly one block per committed block), so the counter-skip
-    // calibration scan always sees the same committed prefix regardless of
-    // worker timing.
-    const auto dispatch_block = [&](std::size_t b) {
-      const std::vector<std::size_t>& block = blocks[b];
-      const std::optional<double> incumbent =
-          snapshots[b + 1 > lookahead_ ? b + 1 - lookahead_ : 0];
-      if (options.trace && incumbent.has_value()) {
-        // The incumbent frozen for this block (rank 0 sorts it ahead of the
-        // block's first invocation in the merged journal).
-        TraceEvent event;
-        event.kind = TraceEvent::Kind::IncumbentUpdate;
-        event.epoch = state.round;
-        event.config_ordinal = block.front();
-        event.invocation = state.round;
-        event.rank = 0;
-        event.value = *incumbent;
-        options.trace->emit(event);
-      }
-      scheduler.apply_counter_skips(state, block, incumbent, *backends_[0]);
-
-      std::vector<std::size_t> runnable;
-      for (const std::size_t i : block) {
-        if (state.entries[i].status == RacingScheduler::Status::Racing) {
-          runnable.push_back(i);
-        }
-      }
-      pending[b].resize(runnable.size());
-      {
-        const std::scoped_lock lock(sync.mutex);
-        remaining[b] = runnable.size();
-        sync.in_flight += runnable.size();
-        if (runnable.empty()) {
-          block_done_at[b] = Clock::now();
-          sync.cv.notify_all();  // under the lock; see exhaustive()
-        }
-      }
-      if (runnable.empty()) return;
-      for (std::size_t j = 0; j < runnable.size(); ++j) {
-        const std::size_t entry_index = runnable[j];
-        // Captured at dispatch: the entry's committed invocation count and
-        // a copy of its configuration — workers never touch State.
-        const Configuration config =
-            state.entries[entry_index].result.config;
-        const auto invocation_index = static_cast<std::uint64_t>(
-            state.entries[entry_index].result.invocations.size());
-        auto task = [&, b, j, entry_index, config, invocation_index,
-                     incumbent](std::size_t worker) noexcept {
-          PendingInvocation slot;
-          slot.entry = entry_index;
-          std::exception_ptr error;
-          if (!cancelled.load(std::memory_order_acquire)) {
-            try {
-              slot.result = scheduler.run_detached_invocation(
-                  *backends_[worker], config, invocation_index, incumbent,
-                  entry_index);
-              slot.valid = true;
-            } catch (...) {
-              error = std::current_exception();
-            }
+          std::vector<Task> tasks;
+          for (const std::size_t i : block) {
+            const RacingScheduler::Entry& entry = state.entries[i];
+            if (entry.status != RacingScheduler::Status::Racing) continue;
+            // Captured now: the entry's committed invocation count and a
+            // copy of its configuration — workers never touch State.
+            const std::size_t slot = pending[b].size();
+            pending[b].push_back({i, {}});
+            tasks.emplace_back(
+                [&, b, slot, i, incumbent, config = entry.result.config,
+                 invocation = static_cast<std::uint64_t>(
+                     entry.result.invocations.size())](Backend& backend) {
+                  pending[b][slot].result = scheduler.run_detached_invocation(
+                      backend, config, invocation, incumbent, i);
+                });
           }
-          {
-            const std::scoped_lock lock(sync.mutex);
-            pending[b][j] = std::move(slot);
-            if (error && !sync.failure) {
-              sync.failure = error;
-              cancelled.store(true, std::memory_order_release);
-            }
-            if (--remaining[b] == 0) block_done_at[b] = Clock::now();
-            --sync.in_flight;
-            sync.cv.notify_all();  // under the lock; see exhaustive()
+          return tasks;
+        },
+        [&](std::size_t b) {
+          for (Pending& slot : pending[b]) {
+            RacingScheduler::commit_invocation(state.entries[slot.entry],
+                                               std::move(slot.result));
           }
-        };
-        if (pool_ != nullptr) {
-          pool_->submit(std::move(task));
-        } else {
-          task(0);
-        }
-      }
-    };
-
-    bool aborted = false;
-    try {
-      std::size_t next_dispatch = 0;
-      for (; next_dispatch < std::min(lookahead_, nblocks); ++next_dispatch) {
-        dispatch_block(next_dispatch);
-      }
-      for (std::size_t b = 0; b < nblocks && !aborted; ++b) {
-        {
-          std::unique_lock lock(sync.mutex);
-          sync.cv.wait(lock, [&] {
-            return remaining[b] == 0 ||
-                   (sync.failure && sync.in_flight == 0);
-          });
-          if (remaining[b] != 0) {  // failure drained mid-round
-            aborted = true;
-            break;
-          }
-        }
-        // In-order commit: merge the block's invocations in block order.
-        for (PendingInvocation& slot : pending[b]) {
-          if (!slot.valid) {  // cancelled after a failure
-            aborted = true;
-            break;
-          }
-          RacingScheduler::commit_invocation(state.entries[slot.entry],
-                                             std::move(slot.result));
-        }
-        if (aborted) break;
-        const Clock::time_point commit_at = Clock::now();
-        accounting_.commit_wait_ns += ns_between(block_done_at[b], commit_at);
-        accounting_.tasks += pending[b].size();
-        util::Profiler& profiler = util::Profiler::instance();
-        profiler.record(util::ProfileCategory::CommitWait,
-                        profiler.to_ticks(block_done_at[b]),
-                        profiler.to_ticks(commit_at), 0.0, b);
-        snapshots[b + 1] = RacingScheduler::frozen_incumbent(state);
-        if (next_dispatch < nblocks) {
-          bool failed = false;
-          {
-            const std::scoped_lock lock(sync.mutex);
-            failed = sync.failure != nullptr;
-          }
-          if (!failed) dispatch_block(next_dispatch++);
-        }
-      }
-    } catch (...) {
-      cancelled.store(true, std::memory_order_release);
-      std::unique_lock lock(sync.mutex);
-      sync.cv.wait(lock, [&] { return sync.in_flight == 0; });
-      throw;
-    }
-
-    {
-      std::unique_lock lock(sync.mutex);
-      sync.cv.wait(lock, [&] { return sync.in_flight == 0; });
-      if (sync.failure) std::rethrow_exception(sync.failure);
-    }
-    if (aborted) break;  // unreachable without a failure; defensive
+          return RacingScheduler::frozen_incumbent(state);
+        });
 
     if (!scheduler.conclude_round(state)) break;
   }

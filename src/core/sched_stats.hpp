@@ -19,11 +19,11 @@ struct SchedulerStats {
   std::uint64_t workers = 0;   ///< pool width actually used
   std::uint64_t lookahead = 0; ///< epochs in flight
   std::uint64_t tasks = 0;     ///< tasks executed across the pool
-  std::uint64_t steals = 0;    ///< tasks obtained from another worker's deque
+  std::uint64_t steals = 0;    ///< always 0: the pool has one queue
   std::uint64_t parks = 0;     ///< times a worker slept for lack of work
-  std::uint64_t idle_ns = 0;   ///< summed worker time parked or scanning empty
+  std::uint64_t idle_ns = 0;   ///< summed worker time parked
   std::uint64_t busy_ns = 0;   ///< summed worker time inside task bodies
-  std::uint64_t commit_wait_ns = 0;  ///< completed-to-committed latency sum
+  std::uint64_t commit_wait_ns = 0;  ///< per epoch: last task done → commit, summed
   std::uint64_t span_ns = 0;   ///< pool lifetime (construction to stats())
 
   /// Fraction of total worker-time spent without work; the headline number

@@ -45,7 +45,7 @@ enum class ProfileCategory : std::uint8_t {
   JournalFlush,      ///< trace journal serialization + write
   Checkpoint,        ///< checkpoint log append + flush
   // Instants.
-  Steal,             ///< worker acquired a task from another worker
+  Steal,             ///< never recorded (one-queue pool); kept for old profiles
   Park,              ///< worker went to sleep on the pool condition variable
   Incumbent,         ///< the committed incumbent improved
   CounterPrune,      ///< counter-guided prune retired a configuration

@@ -160,7 +160,9 @@ TEST(Autotuner, PrunedConfigValueNeverBeatsIncumbentAtPruneTime) {
   const Autotuner tuner(small_space(), options);
   const auto run = tuner.run(backend);
   for (const auto& r : run.results) {
-    if (r.pruned()) EXPECT_LT(r.value(), run.best_value());
+    if (r.pruned()) {
+      EXPECT_LT(r.value(), run.best_value());
+    }
   }
 }
 

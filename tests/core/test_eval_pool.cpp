@@ -9,8 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/work_steal.hpp"
-
 namespace rooftune::core {
 namespace {
 
@@ -103,86 +101,28 @@ TEST(EvalPoolTest, StatsCountParksAndSpan) {
   EXPECT_EQ(stats.workers, 2u);
 }
 
-// --- Chase-Lev deque -------------------------------------------------------
-
-TEST(WorkStealDequeTest, LifoOwnerFifoThief) {
-  util::WorkStealDeque<int> deque;
-  for (int i = 1; i <= 3; ++i) deque.push(i);
-  EXPECT_EQ(deque.steal(), 1);   // thief takes the oldest
-  EXPECT_EQ(deque.pop(), 3);     // owner takes the newest
-  EXPECT_EQ(deque.pop(), 2);
-  EXPECT_EQ(deque.pop(), std::nullopt);
-  EXPECT_EQ(deque.steal(), std::nullopt);
-}
-
-TEST(WorkStealDequeTest, GrowsPastInitialCapacity) {
-  util::WorkStealDeque<std::uint64_t> deque;
-  constexpr std::uint64_t kCount = 10000;  // forces several ring growths
-  for (std::uint64_t i = 0; i < kCount; ++i) deque.push(i);
-  for (std::uint64_t i = kCount; i-- > 0;) {
-    const auto got = deque.pop();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, i);
-  }
-  EXPECT_EQ(deque.pop(), std::nullopt);
-}
-
-// The stress test the TSan CI job leans on: one owner pushing/popping, many
-// thieves stealing concurrently, every element accounted for exactly once.
-TEST(WorkStealDequeTest, ConcurrentStealStress) {
-  constexpr std::uint64_t kItems = 20000;
-  constexpr std::size_t kThieves = 3;
-
-  util::WorkStealDeque<std::uint64_t> deque;
-  std::atomic<std::uint64_t> taken{0};
-  std::atomic<std::uint64_t> sum{0};
-  std::atomic<bool> owner_done{false};
-
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (std::size_t t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      for (;;) {
-        if (auto item = deque.steal()) {
-          sum.fetch_add(*item + 1);
-          taken.fetch_add(1);
-        } else if (owner_done.load()) {
-          if (!deque.steal().has_value()) return;
-        } else {
-          std::this_thread::yield();
-        }
+TEST(EvalPoolTest, RunsTasksInSubmissionOrderOnOneWorker) {
+  // One FIFO queue: a single worker takes tasks oldest first, which is the
+  // order the pipeline's commit window retires them.
+  EvalPool pool({.workers = 1});
+  constexpr std::uint64_t kTasks = 200;
+  std::mutex mutex;
+  std::vector<std::uint64_t> order;
+  std::atomic<std::uint64_t> done{0};
+  for (std::uint64_t i = 0; i < kTasks; ++i) {
+    pool.submit([&, i](std::size_t) {
+      {
+        const std::scoped_lock lock(mutex);
+        order.push_back(i);
       }
+      done.fetch_add(1);
     });
   }
-
-  // Owner: interleave pushes with occasional pops, like a worker draining
-  // its own deque between steals.
-  for (std::uint64_t i = 0; i < kItems; ++i) {
-    deque.push(i);
-    if (i % 7 == 0) {
-      if (auto item = deque.pop()) {
-        sum.fetch_add(*item + 1);
-        taken.fetch_add(1);
-      }
-    }
-  }
-  for (;;) {
-    auto item = deque.pop();
-    if (!item.has_value()) break;
-    sum.fetch_add(*item + 1);
-    taken.fetch_add(1);
-  }
-  owner_done.store(true);
-  for (std::thread& thief : thieves) thief.join();
-  // Stragglers the owner's final pop raced with:
-  while (auto item = deque.steal()) {
-    sum.fetch_add(*item + 1);
-    taken.fetch_add(1);
-  }
-
-  EXPECT_EQ(taken.load(), kItems);
-  // Each item i contributes i+1, so the sum pins content, not just count.
-  EXPECT_EQ(sum.load(), kItems * (kItems + 1) / 2);
+  await(done, kTasks);
+  const std::scoped_lock lock(mutex);
+  ASSERT_EQ(order.size(), kTasks);
+  for (std::uint64_t i = 0; i < kTasks; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(pool.stats().steals, 0u);
 }
 
 }  // namespace

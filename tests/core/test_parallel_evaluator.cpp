@@ -5,6 +5,8 @@
 #include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/autotuner.hpp"
@@ -368,6 +370,94 @@ TEST(ParallelEvaluator, WorkerExceptionPropagates) {
   // "N" configs are TRIAD-shaped: SimDgemmBackend::begin_invocation throws.
   const std::vector<Configuration> configs{triad_config(1024), triad_config(2048)};
   EXPECT_THROW((void)evaluator.run(configs), std::exception);
+}
+
+// A sim backend that throws on the fleet's Nth invocation (never for
+// N = 0): the failure lands on whichever worker starts that invocation.
+class FailingBackend : public Backend {
+ public:
+  FailingBackend(std::shared_ptr<std::atomic<std::uint64_t>> started,
+                 std::uint64_t nth)
+      : started_(std::move(started)), nth_(nth) {}
+
+  void begin_invocation(const Configuration& config,
+                        std::uint64_t invocation_index) override {
+    if (started_->fetch_add(1) + 1 == nth_) {
+      throw std::runtime_error("backend failed");
+    }
+    inner_.begin_invocation(config, invocation_index);
+  }
+  Sample run_iteration() override { return inner_.run_iteration(); }
+  BatchSample run_batch(std::uint64_t count) override {
+    return inner_.run_batch(count);
+  }
+  void end_invocation() override { inner_.end_invocation(); }
+  [[nodiscard]] const util::Clock& clock() const override {
+    return inner_.clock();
+  }
+  [[nodiscard]] bool reentrant() const override { return true; }
+  [[nodiscard]] std::string metric_name() const override {
+    return inner_.metric_name();
+  }
+
+ private:
+  std::shared_ptr<std::atomic<std::uint64_t>> started_;
+  std::uint64_t nth_;
+  simhw::SimDgemmBackend inner_{simhw::machine_by_name("gold6148"),
+                                simhw::SimOptions{}};
+};
+
+// Every pooled strategy runs through the pipeline's one commit window; a
+// backend failure past the first epoch must come back out of run() as the
+// backend's own exception — no hang, no std::terminate — at any lookahead.
+TEST(ParallelEvaluator, PooledBackendFailureRethrows) {
+  const SearchSpace space = dgemm_reduced_space();
+  for (const SearchStrategy strategy :
+       {SearchStrategy::Exhaustive, SearchStrategy::Racing,
+        SearchStrategy::Surrogate}) {
+    TunerOptions options = fast_options(true);
+    options.strategy = strategy;
+    options.surrogate_seed_budget = 64;
+    options.surrogate_confirm_top = 8;
+    for (const std::size_t lookahead : {1u, 4u}) {
+      ParallelOptions popts;
+      popts.workers = 4;
+      popts.deterministic = true;
+      popts.lookahead = lookahead;
+      const auto evaluator_failing_at = [&](std::uint64_t nth) {
+        auto started = std::make_shared<std::atomic<std::uint64_t>>(0);
+        return std::pair{
+            ParallelEvaluator(
+                [started, nth] {
+                  return std::make_unique<FailingBackend>(started, nth);
+                },
+                options, popts),
+            started};
+      };
+      SCOPED_TRACE(::testing::Message()
+                   << "strategy " << static_cast<int>(strategy)
+                   << ", lookahead " << lookahead);
+
+      // A clean run sizes the failure: halfway through the run, past the
+      // invocations of any first epoch (a wave, or a racing block).
+      const auto [clean, clean_started] = evaluator_failing_at(0);
+      const TuningRun run = clean.run(space);
+      const std::uint64_t total = clean_started->load();
+      ASSERT_EQ(total, run.total_invocations);
+      const std::uint64_t nth = total / 2 + 1;
+      ASSERT_GT(nth, popts.wave * options.invocations);
+
+      const auto [failing, started] = evaluator_failing_at(nth);
+      try {
+        (void)failing.run(space);
+        ADD_FAILURE() << "run() returned after a backend failure";
+      } catch (const std::runtime_error& error) {
+        EXPECT_STREQ(error.what(), "backend failed");
+      }
+      // Cancellation: the invocations queued behind the failure never ran.
+      EXPECT_LT(started->load(), total);
+    }
+  }
 }
 
 }  // namespace

@@ -197,7 +197,8 @@ TEST(SurrogateScheduler, JournalIsByteIdenticalAcrossWorkerCounts) {
                         run.total_invocations, run.total_iterations,
                         run.best_index.has_value()
                             ? std::optional<double>(run.best_value())
-                            : std::nullopt});
+                            : std::nullopt,
+                        /*scheduler=*/std::nullopt});
     return journal.str();
   };
 
