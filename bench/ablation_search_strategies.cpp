@@ -46,7 +46,8 @@ Row run_strategy(const simhw::MachineSpec& machine, const std::string& strategy,
     run = tuner.run_coordinate_descent(backend);
   }
   Row row;
-  row.strategy = strategy + (budget ? "(" + std::to_string(budget) + ")" : "");
+  row.strategy = strategy;
+  if (budget) row.strategy.append("(").append(std::to_string(budget)).append(")");
   row.best = run.best_index ? run.best_value() : 0.0;
   row.time = run.total_time.value;
   row.evaluated = run.results.size();

@@ -93,7 +93,7 @@ std::string to_json(const TuningRun& run, const std::string& benchmark_name,
   }
   w.end_array();
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 void write_csv(std::ostream& out, const TuningRun& run) {

@@ -312,7 +312,7 @@ std::string SearchSpace::to_json() const {
   }
   w.end_array();
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 namespace {

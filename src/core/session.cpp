@@ -89,7 +89,8 @@ std::string record_line(std::uint64_t ordinal, std::uint64_t invocation,
     w.end_object();
   }
   w.end_object();
-  return w.str() + '\n';
+  w.line_break();
+  return std::move(w).str();
 }
 
 InvocationLog::Record parse_record(const util::JsonValue& doc) {
@@ -302,7 +303,8 @@ std::string TuningSession::header() const {
   }
   w.key("strategy").value(to_string(options_.strategy));
   w.end_object();
-  return w.str() + '\n';
+  w.line_break();
+  return std::move(w).str();
 }
 
 TuningRun TuningSession::run(Backend& backend) {

@@ -107,11 +107,8 @@ SearchSpace stencil_space() {
   space.add_range(ParameterRange::powers_of_two("ti", 8, 1024));
   space.add_range(ParameterRange::powers_of_two("tj", 4, 512));
   space.add_range(ParameterRange("unroll", {1, 2, 4, 8}));
-  ConstraintSpec spec;
-  spec.lhs = "unroll";
-  spec.op = ConstraintSpec::Op::Le;
-  spec.rhs_param = "tj";
-  space.add_constraint(spec);
+  space.add_constraint(ConstraintSpec{
+      .lhs = "unroll", .op = ConstraintSpec::Op::Le, .rhs_param = "tj"});
   return space;
 }
 

@@ -111,7 +111,7 @@ std::string to_json(const RooflineModel& model) {
     w.end_object();
   }
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 namespace {

@@ -204,11 +204,7 @@ std::uint64_t EnvironmentFingerprint::stable_hash() const {
   return h;
 }
 
-std::string EnvironmentFingerprint::provenance_json() const {
-  util::JsonWriter w;
-  w.begin_object();
-  w.key("t").value("provenance");
-  w.key("v").value(1);
+void EnvironmentFingerprint::write_fields(util::JsonWriter& w) const {
   w.key("cpu").value(cpu_model);
   w.key("uarch").value(uarch);
   w.key("logical_cpus").value(logical_cpus);
@@ -223,10 +219,16 @@ std::string EnvironmentFingerprint::provenance_json() const {
   w.key("aslr").value(aslr);
   w.key("compiler").value(compiler);
   w.key("build").value(build);
+}
+
+void EnvironmentFingerprint::write_provenance(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("t").value("provenance");
+  w.key("v").value(1);
+  write_fields(w);
   w.key("env").value(util::format(
       "%016llx", static_cast<unsigned long long>(stable_hash())));
   w.end_object();
-  return w.str();
 }
 
 EnvironmentFingerprint parse_provenance(const util::JsonValue& doc) {

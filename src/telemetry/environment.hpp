@@ -51,12 +51,16 @@ struct EnvironmentFingerprint {
   /// is the value recorded in TuningSession checkpoints.
   [[nodiscard]] std::uint64_t stable_hash() const;
 
-  /// Serialize the full provenance journal record:
+  /// Append every field above, cpu through build, as keys of the object
+  /// `w` is writing (the export's "environment" object).
+  void write_fields(util::JsonWriter& w) const;
+
+  /// Append the full provenance journal record as one top-level object:
   ///   {"t":"provenance","v":1,...,"env":"<16-hex stable_hash>"}
-  [[nodiscard]] std::string provenance_json() const;
+  void write_provenance(util::JsonWriter& w) const;
 };
 
-/// Parse a provenance record produced by provenance_json().  Throws
+/// Parse a provenance record produced by write_provenance().  Throws
 /// std::runtime_error when the document is not a provenance record.
 [[nodiscard]] EnvironmentFingerprint parse_provenance(
     const util::JsonValue& doc);

@@ -63,23 +63,14 @@ std::string TelemetrySidecar::str() const {
               return key(a) < key(b);
             });
 
-  std::string out;
-  const auto append_line = [&out](const util::JsonWriter& w) {
-    out += w.str();
-    out += '\n';
-  };
-
-  {
-    util::JsonWriter w;
-    w.begin_object();
-    w.key("t").value("telemetry");
-    w.key("v").value(1);
-    w.end_object();
-    append_line(w);
-  }
+  util::JsonWriter w;
+  w.begin_object();
+  w.key("t").value("telemetry");
+  w.key("v").value(1);
+  w.end_object();
+  w.line_break();
 
   for (const SpanRecord& r : spans) {
-    util::JsonWriter w;
     w.begin_object();
     w.key("t").value("span");
     w.key("epoch").value(r.epoch);
@@ -95,11 +86,10 @@ std::string TelemetrySidecar::str() const {
     w.key("kernel_s").value(r.kernel_s);
     w.key("wall_s").value(r.wall_s);
     w.end_object();
-    append_line(w);
+    w.line_break();
   }
 
   for (const HostSample& s : host) {
-    util::JsonWriter w;
     w.begin_object();
     w.key("t").value("host");
     w.key("off_s").value(s.offset_s);
@@ -114,20 +104,19 @@ std::string TelemetrySidecar::str() const {
       w.key("dram_j").value(s.dram_j);
     }
     w.end_object();
-    append_line(w);
+    w.line_break();
   }
 
   if (stats.has_value()) {
-    util::JsonWriter w;
     w.begin_object();
     w.key("t").value("sampler");
     w.key("samples").value(stats->samples);
     w.key("dropped").value(stats->dropped);
     w.key("period_s").value(stats->period_s);
     w.end_object();
-    append_line(w);
+    w.line_break();
   }
-  return out;
+  return std::move(w).str();
 }
 
 void TelemetrySidecar::flush() const {

@@ -47,28 +47,6 @@ void write_config(util::JsonWriter& w, const core::Configuration& config) {
   w.end_object();
 }
 
-void write_environment(util::JsonWriter& w,
-                       const telemetry::EnvironmentFingerprint& env) {
-  // Same keys as the journal's provenance record (docs/observability.md),
-  // minus the record framing.
-  w.begin_object();
-  w.key("cpu").value(env.cpu_model);
-  w.key("uarch").value(env.uarch);
-  w.key("logical_cpus").value(env.logical_cpus);
-  w.key("cores").value(env.physical_cores);
-  w.key("smt").value(env.smt);
-  w.key("numa").value(env.numa_nodes);
-  w.key("governor").value(env.governor);
-  w.key("freq_min_khz").value(static_cast<long long>(env.freq_min_khz));
-  w.key("freq_max_khz").value(static_cast<long long>(env.freq_max_khz));
-  w.key("turbo").value(env.turbo);
-  w.key("thp").value(env.thp);
-  w.key("aslr").value(env.aslr);
-  w.key("compiler").value(env.compiler);
-  w.key("build").value(env.build);
-  w.end_object();
-}
-
 telemetry::EnvironmentFingerprint parse_environment(
     const util::JsonValue& doc) {
   telemetry::EnvironmentFingerprint env;
@@ -362,7 +340,11 @@ std::string write_export(const ExportDocument& doc) {
 
   w.key("environment");
   if (doc.environment.has_value()) {
-    write_environment(w, *doc.environment);
+    // Same keys as the journal's provenance record (docs/observability.md),
+    // minus the record framing.
+    w.begin_object();
+    doc.environment->write_fields(w);
+    w.end_object();
   } else {
     w.null();
   }
@@ -410,7 +392,7 @@ std::string write_export(const ExportDocument& doc) {
     w.null();
   }
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 namespace {
@@ -530,7 +512,9 @@ void write_export_file(const std::string& path, const ExportDocument& doc) {
   if (!out) {
     throw std::runtime_error("export: cannot open '" + path + "' for writing");
   }
-  out << write_export(doc) << '\n';
+  std::string text = write_export(doc);
+  text += '\n';
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
   if (!out) throw std::runtime_error("export: write to '" + path + "' failed");
 }
 

@@ -220,39 +220,30 @@ std::string TraceJournal::str() const {
     return a->seq < b->seq;
   });
 
-  std::string out;
-  const auto append_line = [&out](const util::JsonWriter& w) {
-    out += w.str();
-    out += '\n';
-  };
-
+  util::JsonWriter w;
   if (options_.provenance.has_value()) {
     // Environment provenance precedes even the run header: whatever else a
     // reader does with a journal, the machine state it was recorded under
     // comes first.
-    out += options_.provenance->provenance_json();
-    out += '\n';
+    options_.provenance->write_provenance(w);
+    w.line_break();
   }
 
-  {
-    util::JsonWriter w;
-    w.begin_object();
-    w.key("t").value("run");
-    w.key("v").value(kJournalSchemaVersion);  // docs/observability.md
-    w.key("benchmark").value(header_ ? header_->benchmark : "");
-    w.key("metric").value(header_ ? header_->metric : "");
-    w.key("strategy").value(header_ ? header_->strategy : "");
-    // Written only when a sampler degraded, so journals from healthy runs
-    // keep their historical bytes.
-    if (!degraded.empty()) w.key("perf_degraded").value(degraded);
-    w.end_object();
-    append_line(w);
-  }
+  w.begin_object();
+  w.key("t").value("run");
+  w.key("v").value(kJournalSchemaVersion);  // docs/observability.md
+  w.key("benchmark").value(header_ ? header_->benchmark : "");
+  w.key("metric").value(header_ ? header_->metric : "");
+  w.key("strategy").value(header_ ? header_->strategy : "");
+  // Written only when a sampler degraded, so journals from healthy runs
+  // keep their historical bytes.
+  if (!degraded.empty()) w.key("perf_degraded").value(degraded);
+  w.end_object();
+  w.line_break();
 
   using Kind = core::TraceEvent::Kind;
   for (const Record* record : merged) {
     const core::TraceEvent& e = record->event;
-    util::JsonWriter w;
     w.begin_object();
     w.key("t").value(kind_tag(e.kind));
     write_sort_key(w, e);
@@ -397,7 +388,7 @@ std::string TraceJournal::str() const {
         break;
     }
     w.end_object();
-    append_line(w);
+    w.line_break();
   }
 
   if (summary_.has_value() && summary_->scheduler.has_value()) {
@@ -406,7 +397,6 @@ std::string TraceJournal::str() const {
     // were collected.  Everything here is wall-clock — the one record in a
     // journal that is EXPECTED to differ across reruns.
     const core::SchedulerStats& s = *summary_->scheduler;
-    util::JsonWriter w;
     w.begin_object();
     w.key("t").value("scheduler");
     w.key("mode").value(s.mode);
@@ -421,11 +411,10 @@ std::string TraceJournal::str() const {
     w.key("span_ns").value(s.span_ns);
     w.key("idle_fraction").value(s.idle_fraction());
     w.end_object();
-    append_line(w);
+    w.line_break();
   }
 
   if (summary_.has_value()) {
-    util::JsonWriter w;
     w.begin_object();
     w.key("t").value("summary");
     w.key("configs").value(summary_->configs);
@@ -434,9 +423,9 @@ std::string TraceJournal::str() const {
     w.key("iterations").value(summary_->iterations);
     write_optional(w, "best", summary_->best);
     w.end_object();
-    append_line(w);
+    w.line_break();
   }
-  return out;
+  return std::move(w).str();
 }
 
 void TraceJournal::flush() const {

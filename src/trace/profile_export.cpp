@@ -150,7 +150,7 @@ std::string write_profile_json(const util::ProfileSnapshot& snapshot,
   w.end_object();
 
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 void write_profile_file(const std::string& path,
@@ -158,7 +158,9 @@ void write_profile_file(const std::string& path,
                         ProfileMetadata meta) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) throw std::runtime_error("profile: cannot write " + path);
-  out << write_profile_json(snapshot, std::move(meta)) << "\n";
+  std::string text = write_profile_json(snapshot, std::move(meta));
+  text += '\n';
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 namespace {

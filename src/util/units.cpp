@@ -67,7 +67,9 @@ std::string format_seconds(Seconds s) {
   char buf[64];
   const double v = s.value;
   if (v < 0.0) {
-    return "-" + format_seconds(Seconds{-v});
+    std::string out = format_seconds(Seconds{-v});
+    out.insert(out.begin(), '-');
+    return out;
   }
   if (v < 1e-3) {
     std::snprintf(buf, sizeof buf, "%.1fus", v * 1e6);

@@ -28,9 +28,9 @@ TEST(StencilSurface, RejectsBadArguments) {
   EXPECT_THROW(StencilSurface(machine_by_name("2650v4"), 1, 4),
                std::invalid_argument);
   const auto surface = surface_2650();
-  EXPECT_THROW(surface.mean_gflops(0, 64, 1), std::invalid_argument);
-  EXPECT_THROW(surface.mean_gflops(64, 0, 1), std::invalid_argument);
-  EXPECT_THROW(surface.mean_gflops(64, 64, 3), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(surface.mean_gflops(0, 64, 1)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(surface.mean_gflops(64, 0, 1)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(surface.mean_gflops(64, 64, 3)), std::invalid_argument);
 }
 
 TEST(StencilSurface, TrafficTiersTrackTheCaches) {

@@ -6,10 +6,17 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/json.hpp"
 #include "util/json_parse.hpp"
 
 namespace rooftune::telemetry {
 namespace {
+
+util::JsonValue provenance_record(const EnvironmentFingerprint& env) {
+  util::JsonWriter w;
+  env.write_provenance(w);
+  return util::parse_json(w.str());
+}
 
 TEST(Environment, CaptureNeverFailsAndFillsBasics) {
   const auto env = EnvironmentFingerprint::capture();
@@ -52,8 +59,7 @@ TEST(Environment, StableHashIsSensitiveToEveryKnob) {
 // journal's bit-identity guarantee, so its key set is frozen — and it must
 // never grow a wall-clock or host-identity field.
 TEST(Environment, ProvenanceJsonHasExactlyTheGoldenFieldSet) {
-  const auto doc =
-      util::parse_json(EnvironmentFingerprint::capture().provenance_json());
+  const auto doc = provenance_record(EnvironmentFingerprint::capture());
   std::set<std::string> keys;
   for (const auto& [key, value] : doc.as_object()) keys.insert(key);
 
@@ -75,8 +81,7 @@ TEST(Environment, ProvenanceJsonHasExactlyTheGoldenFieldSet) {
 
 TEST(Environment, ProvenanceRoundTripsThroughParse) {
   const auto env = EnvironmentFingerprint::capture();
-  const auto restored =
-      parse_provenance(util::parse_json(env.provenance_json()));
+  const auto restored = parse_provenance(provenance_record(env));
   EXPECT_EQ(restored.cpu_model, env.cpu_model);
   EXPECT_EQ(restored.uarch, env.uarch);
   EXPECT_EQ(restored.logical_cpus, env.logical_cpus);

@@ -121,8 +121,10 @@ TEST(StabilityReport, RenderContainsTheFigures) {
 
 TEST(RunQuality, WarnsOnGovernorTurboAndDrift) {
   EnvironmentFingerprint env;
-  env.governor = "powersave";
-  env.turbo = "on";
+  // Assigned from temporaries: assigning the literals directly trips a GCC 12
+  // -Wmaybe-uninitialized false positive.
+  env.governor = std::string("powersave");
+  env.turbo = std::string("on");
 
   SidecarData data;
   data.spans.push_back(span(0, 0, 2400.0, 2000.0, 0.0, 0.0));

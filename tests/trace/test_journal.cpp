@@ -7,6 +7,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/autotuner.hpp"
 #include "core/search_space.hpp"
@@ -126,6 +127,38 @@ TEST(TraceJournal, EveryStopReasonRoundTrips) {
     ASSERT_EQ(parsed.records.size(), 2u) << core::to_string(reason);
     EXPECT_EQ(parsed.records[0].event.reason, reason) << core::to_string(reason);
     EXPECT_EQ(parsed.records[1].event.reason, reason) << core::to_string(reason);
+  }
+}
+
+// Parameter names are written as JSON keys straight into the journal's one
+// buffer; quotes, backslashes, control bytes and multi-byte UTF-8 must come
+// back from the reader unchanged.
+TEST(TraceJournal, EscapedConfigKeysRoundTrip) {
+  const std::vector<std::string> names = {
+      "quote\"d", "back\\slash", "ctrl\x01\x1f\t\n", "caf\xc3\xa9 \xe2\x82\xac",
+      "plain"};
+  TraceJournal journal;
+  journal.begin_run({"b\"ench\\", "m\x02", "exhaustive"});
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    core::TraceEvent done;
+    done.kind = Kind::ConfigDone;
+    done.config_ordinal = i;
+    done.rank = 4;
+    done.reason = StopReason::MaxCount;
+    done.config = core::Configuration(
+        {{names[i], static_cast<std::int64_t>(i)}, {"x", -7}});
+    journal.emit(done);
+  }
+  const Journal parsed = read_journal(journal.str());
+  EXPECT_EQ(parsed.header.benchmark, "b\"ench\\");
+  EXPECT_EQ(parsed.header.metric, "m\x02");
+  ASSERT_EQ(parsed.records.size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const core::Configuration& config = parsed.records[i].event.config;
+    ASSERT_EQ(config.size(), 2u) << i;
+    EXPECT_TRUE(config.has(names[i])) << i;
+    EXPECT_EQ(config.at(names[i]), static_cast<std::int64_t>(i));
+    EXPECT_EQ(config.at("x"), -7);
   }
 }
 

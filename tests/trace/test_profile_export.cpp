@@ -84,6 +84,23 @@ ProfileDocument synthetic_document() {
   return doc;
 }
 
+// Lane names and metadata strings are escaped straight into the writer's
+// buffer; quotes, backslashes, control bytes and multi-byte UTF-8 survive
+// the parse, and re-writing the parsed document gives the same bytes.
+TEST(ProfileExportTest, EscapedLaneNamesRoundTrip) {
+  ProfileDocument doc = synthetic_document();
+  doc.snapshot.lanes[0].thread_name = "co\"ord\\inator\x01\n";
+  doc.snapshot.lanes[1].thread_name = "w\xc3\xb6rker \xe2\x82\xac\t0";
+  doc.meta.benchmark = "bench\"\x1f";
+  const std::string json = write_profile_json(doc.snapshot, doc.meta);
+  const ProfileDocument parsed = parse_profile(json);
+  ASSERT_EQ(parsed.snapshot.lanes.size(), 2u);
+  EXPECT_EQ(parsed.snapshot.lanes[0].thread_name, "co\"ord\\inator\x01\n");
+  EXPECT_EQ(parsed.snapshot.lanes[1].thread_name, "w\xc3\xb6rker \xe2\x82\xac\t0");
+  EXPECT_EQ(parsed.meta.benchmark, "bench\"\x1f");
+  EXPECT_EQ(write_profile_json(parsed.snapshot, parsed.meta), json);
+}
+
 TEST(ProfileExportTest, RoundTripPreservesEveryField) {
   const ProfileDocument original = synthetic_document();
   const std::string json =
