@@ -1,5 +1,7 @@
 #include "cli/args.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/strings.hpp"
@@ -22,17 +24,21 @@ void ArgParser::add_optional_value(const std::string& name,
 
 namespace {
 
+/// The whole token as a number, or nullopt when any character of it is
+/// not part of one (std::from_chars: no whitespace, no '+', no suffix).
+template <typename T>
+std::optional<T> parse_number(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
+
 /// Whole-token numeric test: decides whether the token after an
 /// optional-value option is its value or the next option/positional.
 bool numeric_token(const std::string& text) {
-  if (text.empty()) return false;
-  try {
-    std::size_t consumed = 0;
-    static_cast<void>(std::stod(text, &consumed));
-    return consumed == text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
+  return parse_number<double>(text).has_value();
 }
 
 }  // namespace
@@ -103,22 +109,20 @@ std::string ArgParser::get_or(const std::string& name, const std::string& fallba
 std::int64_t ArgParser::get_int(const std::string& name, std::int64_t fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
-  try {
-    return std::stoll(*v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--" + name + ": '" + *v + "' is not an integer");
-  }
+  const auto value = parse_number<std::int64_t>(*v);
+  if (!value) throw std::invalid_argument("--" + name + ": '" + *v + "' is not an integer");
+  return *value;
 }
 
 double ArgParser::get_double(const std::string& name, double fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
   if (v->empty()) return fallback;  // bare optional-value option
-  try {
-    return std::stod(*v);
-  } catch (const std::exception&) {
+  const auto value = parse_number<double>(*v);
+  if (!value || std::isnan(*value)) {
     throw std::invalid_argument("--" + name + ": '" + *v + "' is not a number");
   }
+  return *value;
 }
 
 std::string ArgParser::help() const {

@@ -37,6 +37,9 @@ class ArgParser {
   [[nodiscard]] std::optional<std::string> get(const std::string& name) const;
   [[nodiscard]] std::string get_or(const std::string& name,
                                    const std::string& fallback) const;
+  /// The option's whole value as a number; a value with anything else in
+  /// it (a suffix, a '+', whitespace) throws std::invalid_argument, and so
+  /// does NaN for get_double.
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
 

@@ -457,16 +457,25 @@ core::Technique parse_technique(const std::string& text) {
   throw std::invalid_argument("unknown technique '" + text + "'");
 }
 
+/// An integer option stored in an unsigned tuner count: a negative value
+/// is refused by name instead of wrapping to a huge cap.
+std::uint64_t count_option(const ArgParser& parser, const std::string& name,
+                           std::int64_t fallback) {
+  const std::int64_t value = parser.get_int(name, fallback);
+  if (value < 0) throw std::invalid_argument("--" + name + " must be >= 0");
+  return static_cast<std::uint64_t>(value);
+}
+
 core::TunerOptions tuner_options_from(const ArgParser& parser) {
   core::TunerOptions base;
-  base.invocations = static_cast<std::uint64_t>(parser.get_int("invocations", 10));
-  base.iterations = static_cast<std::uint64_t>(parser.get_int("iterations", 200));
+  base.invocations = count_option(parser, "invocations", 10);
+  base.iterations = count_option(parser, "iterations", 200);
   base.timeout = util::Seconds{parser.get_double("timeout", 10.0)};
 
   const auto technique = parse_technique(parser.get_or("technique", "c+i+o"));
   auto options = core::technique_options(
       technique, base, /*hand_tuned_iterations=*/0,
-      static_cast<std::uint64_t>(parser.get_int("min-count", 2)));
+      count_option(parser, "min-count", 2));
   if (const auto order = parser.get("order")) {
     const std::string o = util::to_lower(*order);
     if (o == "forward") options.order = core::SearchOrder::Forward;
@@ -482,12 +491,9 @@ core::TunerOptions tuner_options_from(const ArgParser& parser) {
     else if (s == "surrogate") options.strategy = core::SearchStrategy::Surrogate;
     else throw std::invalid_argument("unknown strategy '" + *strategy + "'");
   }
-  options.racing_min_invocations =
-      static_cast<std::uint64_t>(parser.get_int("racing-min", 3));
-  options.surrogate_seed_budget =
-      static_cast<std::uint64_t>(parser.get_int("seed-budget", 64));
-  options.surrogate_confirm_top =
-      static_cast<std::uint64_t>(parser.get_int("confirm-top", 16));
+  options.racing_min_invocations = count_option(parser, "racing-min", 3);
+  options.surrogate_seed_budget = count_option(parser, "seed-budget", 64);
+  options.surrogate_confirm_top = count_option(parser, "confirm-top", 16);
   return options;
 }
 
@@ -748,7 +754,7 @@ int cmd_roofline(const ArgParser& parser, std::ostream& out) {
   refuse_unread_backend_options(parser, parser.has("native"));
   roofline::BuilderOptions options;
   options.tuner = tuner_options_from(parser);
-  options.prune_min_count = static_cast<std::uint64_t>(parser.get_int("min-count", 10));
+  options.prune_min_count = count_option(parser, "min-count", 10);
   options.seed = static_cast<std::uint64_t>(parser.get_int("seed", 2021));
 
   roofline::RooflineModel model;
@@ -833,7 +839,7 @@ int cmd_advise(const ArgParser& parser, std::ostream& out) {
 
   roofline::BuilderOptions options;
   options.tuner = tuner_options_from(parser);
-  options.prune_min_count = static_cast<std::uint64_t>(parser.get_int("min-count", 10));
+  options.prune_min_count = count_option(parser, "min-count", 10);
   options.seed = static_cast<std::uint64_t>(parser.get_int("seed", 2021));
 
   std::vector<roofline::RooflineModel> models;

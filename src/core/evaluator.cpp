@@ -1,11 +1,9 @@
 #include "core/evaluator.hpp"
 
 #include <cmath>
-#include <memory>
 #include <string>
 
 #include "core/session.hpp"
-#include "stats/confidence.hpp"
 #include "util/profiler.hpp"
 
 namespace rooftune::core {
@@ -32,53 +30,15 @@ std::optional<util::ArenaStats> arena_delta(
 /// running moments (CI only once two samples exist — below that the
 /// interval is degenerate and the journal records null bounds).
 void fill_decision_stats(TraceEvent& event, const stats::OnlineMoments& moments,
-                         const TunerOptions& options) {
+                         const StopRules& rules) {
   event.count = moments.count();
   event.mean = moments.mean();
   if (moments.count() >= 2) {
-    const auto ci = stats::mean_confidence_interval(moments, options.confidence,
-                                                    options.interval_method);
+    const auto ci = rules.interval(moments);
     event.have_ci = true;
     event.ci_lower = ci.lower;
     event.ci_upper = ci.upper;
   }
-}
-
-/// Inner-loop stop set per the options.  Order encodes reporting priority:
-/// budget exhaustion first, then pruning, then convergence.
-StopSet make_inner_stops(const TunerOptions& options) {
-  StopSet stops;
-  stops.add(std::make_shared<MaxTimeStop>(options.timeout));
-  stops.add(std::make_shared<MaxCountStop>(options.iterations));
-  if (options.inner_prune) {
-    stops.add(std::make_shared<UpperBoundStop>(options.confidence, options.prune_min_count,
-                                               options.trend_guard,
-                                               options.interval_method));
-  }
-  if (options.confidence_stop) {
-    stops.add(std::make_shared<ConfidenceStop>(options.confidence, options.tolerance,
-                                               options.confidence_min_samples,
-                                               options.interval_method));
-  }
-  return stops;
-}
-
-/// Outer-loop stop set: invocation cap, optional outer pruning, optional
-/// invocation-level confidence convergence.
-StopSet make_outer_stops(const TunerOptions& options) {
-  StopSet stops;
-  stops.add(std::make_shared<MaxCountStop>(options.invocations));
-  if (options.outer_prune) {
-    stops.add(std::make_shared<UpperBoundStop>(options.confidence, /*min_count=*/2,
-                                               options.trend_guard,
-                                               options.interval_method));
-  }
-  if (options.confidence_stop) {
-    stops.add(std::make_shared<ConfidenceStop>(options.confidence, options.tolerance,
-                                               options.confidence_min_samples,
-                                               options.interval_method));
-  }
-  return stops;
 }
 
 /// Classify this invocation's counter signature and convert the roofline
@@ -207,7 +167,7 @@ InvocationResult run_invocation(Backend& backend, const Configuration& config,
       return std::move(*logged);
     }
   }
-  const StopSet stops = make_inner_stops(options);
+  const StopRules rules = StopRules::inner(options);
   InvocationResult result;
   stats::TrendDetector trend(16);
 
@@ -228,11 +188,6 @@ InvocationResult run_invocation(Backend& backend, const Configuration& config,
   if (options.trace) options.trace->kernel_phase_begin();
   util::ProfileSpan kernel_span(util::ProfileCategory::Kernel,
                                 trace_ctx.config_ordinal);
-
-  EvalState state;
-  state.moments = &result.moments;
-  state.incumbent = incumbent;
-  state.trend = &trend;
 
   // Adaptive timing batches: while the per-iteration time is comparable to
   // the cost of reading the clock, time geometrically growing groups of
@@ -265,9 +220,8 @@ InvocationResult run_invocation(Backend& backend, const Configuration& config,
     result.moments.add(batch_value);
     trend.add(batch_value);
 
-    state.accumulated_time = result.kernel_time;
-    state.count = result.iterations;
-    const StopReason reason = stops.check(state);
+    const StopReason reason = rules.check(result.moments, result.kernel_time,
+                                          result.iterations, incumbent, trend);
     if (reason != StopReason::None) {
       result.stop_reason = reason;
       break;
@@ -331,7 +285,7 @@ InvocationResult run_invocation(Backend& backend, const Configuration& config,
     stop.outer_level = false;
     stop.accumulated_s = result.kernel_time.value;
     stop.incumbent = incumbent;
-    fill_decision_stats(stop, result.moments, options);
+    fill_decision_stats(stop, result.moments, rules);
     options.trace->emit(stop);
 
     TraceEvent span;
@@ -373,15 +327,10 @@ ConfigResult run_configuration(Backend& backend, const Configuration& config,
                                const TunerOptions& options,
                                std::optional<double> incumbent,
                                const TraceContext& trace_ctx) {
-  const StopSet outer_stops = make_outer_stops(options);
+  const StopRules rules = StopRules::outer(options);
   ConfigResult result;
   result.config = config;
   stats::TrendDetector outer_trend(8);
-
-  EvalState state;
-  state.moments = &result.outer_moments;
-  state.incumbent = incumbent;
-  state.trend = &outer_trend;
 
   std::uint64_t last_inv = 0;
   for (std::uint64_t inv = 0;; ++inv) {
@@ -438,9 +387,9 @@ ConfigResult run_configuration(Backend& backend, const Configuration& config,
       }
     }
 
-    state.count = inv + 1;
-    // Invocation loops have no kernel-time budget; leave accumulated_time 0.
-    const StopReason reason = outer_stops.check(state);
+    // Invocation loops have no kernel-time budget.
+    const StopReason reason = rules.check(result.outer_moments, util::Seconds{0.0},
+                                          inv + 1, incumbent, outer_trend);
     if (reason != StopReason::None) {
       result.outer_stop = reason;
       break;
@@ -461,7 +410,7 @@ ConfigResult run_configuration(Backend& backend, const Configuration& config,
     stop.reason = result.outer_stop;
     stop.outer_level = true;
     stop.incumbent = incumbent;
-    fill_decision_stats(stop, result.outer_moments, options);
+    fill_decision_stats(stop, result.outer_moments, rules);
     options.trace->emit(stop);
 
     TraceEvent done;

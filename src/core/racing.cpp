@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <utility>
-
-#include "stats/confidence.hpp"
 
 namespace rooftune::core {
 
@@ -16,10 +13,8 @@ bool RacingScheduler::State::active() const {
   return false;
 }
 
-RacingScheduler::RacingScheduler(TunerOptions options) : options_(options) {
-  if (options_.invocations == 0) {
-    throw std::invalid_argument("RacingScheduler: invocations must be > 0");
-  }
+RacingScheduler::RacingScheduler(TunerOptions options)
+    : options_(options), rules_(StopRules::outer(options_)) {
   // A racing round grants a sample batch, not a converged evaluation:
   // invocations run under a reduced iteration cap (racing_iterations) so a
   // round over the whole population costs a fraction of one sequential
@@ -250,10 +245,7 @@ bool RacingScheduler::conclude_round(State& state) const {
       entry.status = Status::Finished;
       continue;
     }
-    if (options_.confidence_stop &&
-        stats::has_converged(result.outer_moments, options_.confidence,
-                             options_.tolerance, options_.confidence_min_samples,
-                             options_.interval_method)) {
+    if (rules_.converged(result.outer_moments)) {
       result.outer_stop = StopReason::Converged;
       entry.status = Status::Finished;
     }
@@ -321,16 +313,14 @@ bool RacingScheduler::conclude_round(State& state) const {
     // (warm-up not settled — its mean underestimates the configuration, so
     // elimination would be unsafe; see docs/racing.md).
     const auto& leader_inv = state.entries[*leader].result.invocations.front();
-    const auto leader_ci = stats::mean_confidence_interval(
-        leader_inv.moments, options_.confidence, options_.interval_method);
+    const auto leader_ci = rules_.interval(leader_inv.moments);
     for (std::size_t i = 0; i < state.entries.size(); ++i) {
       Entry& entry = state.entries[i];
       if (i == *leader || entry.status != Status::Racing) continue;
       const auto& inv = entry.result.invocations.front();
       if (inv.trend_rising) continue;
       if (inv.moments.count() < options_.confidence_min_samples) continue;
-      const auto ci = stats::mean_confidence_interval(
-          inv.moments, options_.confidence, options_.interval_method);
+      const auto ci = rules_.interval(inv.moments);
       if (ci.upper < leader_ci.lower) {
         entry.result.outer_stop = StopReason::PrunedByBest;
         entry.status = Status::Eliminated;
@@ -339,24 +329,18 @@ bool RacingScheduler::conclude_round(State& state) const {
       }
     }
   } else if (leader.has_value()) {
-    const auto leader_ci = stats::mean_confidence_interval(
-        state.entries[*leader].result.outer_moments, options_.confidence,
-        options_.interval_method);
+    const auto leader_ci =
+        rules_.interval(state.entries[*leader].result.outer_moments);
     for (std::size_t i = 0; i < state.entries.size(); ++i) {
       Entry& entry = state.entries[i];
       if (i == *leader || entry.status != Status::Racing) continue;
       if (entry.result.outer_moments.count() < options_.racing_min_invocations) {
         continue;
       }
-      if (options_.trend_guard &&
-          (entry.trend.size() < 8 || entry.trend.rising())) {
-        // §VII: performance still improving (or the window cannot tell yet)
-        // — hold off, same conservatism as UpperBoundStop's guard.
-        continue;
-      }
-      const auto ci = stats::mean_confidence_interval(
-          entry.result.outer_moments, options_.confidence,
-          options_.interval_method);
+      // §VII: performance still improving (or the window cannot tell yet)
+      // — hold off, the same guard the prune rule applies.
+      if (rules_.prune_deferred(entry.trend)) continue;
+      const auto ci = rules_.interval(entry.result.outer_moments);
       if (ci.upper < leader_ci.lower) {
         entry.result.outer_stop = StopReason::PrunedByBest;
         entry.status = Status::Eliminated;

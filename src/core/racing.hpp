@@ -151,6 +151,8 @@ class RacingScheduler {
 
  private:
   TunerOptions options_;
+  /// The invocation-level rules: convergence, every CI and the trend guard.
+  StopRules rules_;
   /// options_ with the inner iteration cap reduced to racing_iterations.
   TunerOptions invocation_options_;
 };

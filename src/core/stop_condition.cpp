@@ -1,9 +1,11 @@
 #include "core/stop_condition.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
-#include "util/strings.hpp"
+#include "core/evaluator.hpp"
+#include "stats/normal.hpp"
 
 namespace rooftune::core {
 
@@ -29,108 +31,77 @@ std::optional<StopReason> stop_reason_from_string(std::string_view text) {
   return std::nullopt;
 }
 
-// ---- MaxTimeStop -----------------------------------------------------------
+namespace {
 
-MaxTimeStop::MaxTimeStop(util::Seconds budget) : budget_(budget) {
-  if (budget.value <= 0.0) throw std::invalid_argument("MaxTimeStop: budget must be > 0");
+// Each threshold test is written so that NaN fails it.
+void require(bool ok, const char* message) {
+  if (!ok) throw std::invalid_argument(message);
 }
 
-StopReason MaxTimeStop::check(const EvalState& state) const {
-  return state.accumulated_time >= budget_ ? StopReason::MaxTime : StopReason::None;
+double checked_confidence(double confidence) {
+  require(confidence > 0.0 && confidence < 1.0,
+          "TunerOptions::confidence must be in (0,1)");
+  return confidence;
 }
 
-std::string MaxTimeStop::name() const {
-  return util::format("max-time(%.3gs)", budget_.value);
+}  // namespace
+
+StopRules::StopRules(const TunerOptions& options, util::Seconds budget,
+                     std::uint64_t cap, bool prune, std::uint64_t prune_min_count)
+    : budget_(budget),
+      cap_(cap),
+      prune_(prune),
+      prune_min_count_(std::max<std::uint64_t>(prune_min_count, 2)),
+      converge_(options.confidence_stop),
+      min_samples_(std::max<std::uint64_t>(options.confidence_min_samples, 2)),
+      tolerance_(options.tolerance),
+      trend_guard_(options.trend_guard),
+      confidence_(checked_confidence(options.confidence)),
+      method_(options.interval_method),
+      z_(stats::normal_two_sided_critical(confidence_)) {
+  require(!converge_ || tolerance_ > 0.0, "TunerOptions::tolerance must be > 0");
 }
 
-// ---- MaxCountStop ----------------------------------------------------------
-
-MaxCountStop::MaxCountStop(std::uint64_t cap) : cap_(cap) {
-  if (cap == 0) throw std::invalid_argument("MaxCountStop: cap must be > 0");
+StopRules StopRules::inner(const TunerOptions& options) {
+  require(options.timeout.value > 0.0, "TunerOptions::timeout must be > 0");
+  require(options.iterations > 0, "TunerOptions::iterations must be > 0");
+  return StopRules(options, options.timeout, options.iterations,
+                   options.inner_prune, options.prune_min_count);
 }
 
-StopReason MaxCountStop::check(const EvalState& state) const {
-  return state.count >= cap_ ? StopReason::MaxCount : StopReason::None;
+StopRules StopRules::outer(const TunerOptions& options) {
+  require(options.invocations > 0, "TunerOptions::invocations must be > 0");
+  return StopRules(options, util::Seconds{std::numeric_limits<double>::infinity()},
+                   options.invocations, options.outer_prune, /*prune_min_count=*/2);
 }
 
-std::string MaxCountStop::name() const {
-  return "max-count(" + std::to_string(cap_) + ")";
-}
-
-// ---- ConfidenceStop --------------------------------------------------------
-
-ConfidenceStop::ConfidenceStop(double confidence, double tolerance,
-                               std::uint64_t min_samples, stats::IntervalMethod method)
-    : confidence_(confidence),
-      tolerance_(tolerance),
-      min_samples_(std::max<std::uint64_t>(min_samples, 2)),
-      method_(method) {
-  if (!(confidence > 0.0 && confidence < 1.0)) {
-    throw std::invalid_argument("ConfidenceStop: confidence must be in (0,1)");
+StopReason StopRules::check(const stats::OnlineMoments& moments,
+                            util::Seconds accumulated, std::uint64_t count,
+                            std::optional<double> incumbent,
+                            const stats::TrendDetector& trend) const {
+  if (accumulated >= budget_) return StopReason::MaxTime;
+  if (count >= cap_) return StopReason::MaxCount;
+  if (prune_ && incumbent.has_value() && count >= prune_min_count_ &&
+      !prune_deferred(trend)) {
+    const auto ci = interval(moments);
+    // Paper Listing 1: terminate when mean + marg < best.
+    if (ci.mean + ci.margin() < *incumbent) return StopReason::PrunedByBest;
   }
-  if (tolerance <= 0.0) throw std::invalid_argument("ConfidenceStop: tolerance must be > 0");
+  return converged(moments) ? StopReason::Converged : StopReason::None;
 }
 
-StopReason ConfidenceStop::check(const EvalState& state) const {
-  if (state.moments == nullptr) return StopReason::None;
-  return stats::has_converged(*state.moments, confidence_, tolerance_, min_samples_, method_)
-             ? StopReason::Converged
-             : StopReason::None;
-}
-
-std::string ConfidenceStop::name() const {
-  return util::format("confidence(%.0f%%, +/-%.2g%%)", confidence_ * 100.0,
-                      tolerance_ * 100.0);
-}
-
-// ---- UpperBoundStop --------------------------------------------------------
-
-UpperBoundStop::UpperBoundStop(double confidence, std::uint64_t min_count,
-                               bool trend_guard, stats::IntervalMethod method)
-    : confidence_(confidence),
-      min_count_(std::max<std::uint64_t>(min_count, 2)),
-      trend_guard_(trend_guard),
-      method_(method) {
-  if (!(confidence > 0.0 && confidence < 1.0)) {
-    throw std::invalid_argument("UpperBoundStop: confidence must be in (0,1)");
+stats::ConfidenceInterval StopRules::interval(const stats::OnlineMoments& moments) const {
+  // Student-t's critical value depends on the count; it keeps the
+  // per-thread memo inside mean_confidence_interval.
+  if (method_ == stats::IntervalMethod::Normal) {
+    return stats::confidence_interval_at(moments, confidence_, z_);
   }
+  return stats::mean_confidence_interval(moments, confidence_, method_);
 }
 
-StopReason UpperBoundStop::check(const EvalState& state) const {
-  if (state.moments == nullptr || !state.incumbent.has_value()) return StopReason::None;
-  if (state.count < min_count_) return StopReason::None;
-  if (trend_guard_ && state.trend != nullptr &&
-      (state.trend->size() < 8 || state.trend->rising())) {
-    // §VII: performance still improving — hold off.  While the trend window
-    // is too small to tell, pruning is also deferred (conservative: the
-    // guard exists precisely because early samples can be misleading).
-    return StopReason::None;
-  }
-  const auto ci = stats::mean_confidence_interval(*state.moments, confidence_, method_);
-  // Paper Listing 1: terminate when mean + marg < best.
-  return (ci.mean + ci.margin() < *state.incumbent) ? StopReason::PrunedByBest
-                                                    : StopReason::None;
-}
-
-std::string UpperBoundStop::name() const {
-  return util::format("upper-bound(%.0f%%, min=%llu%s)", confidence_ * 100.0,
-                      static_cast<unsigned long long>(min_count_),
-                      trend_guard_ ? ", trend-guard" : "");
-}
-
-// ---- StopSet ---------------------------------------------------------------
-
-void StopSet::add(std::shared_ptr<const StopCondition> condition) {
-  if (!condition) throw std::invalid_argument("StopSet::add: null condition");
-  conditions_.push_back(std::move(condition));
-}
-
-StopReason StopSet::check(const EvalState& state) const {
-  for (const auto& c : conditions_) {
-    const StopReason r = c->check(state);
-    if (r != StopReason::None) return r;
-  }
-  return StopReason::None;
+bool StopRules::converged(const stats::OnlineMoments& moments) const {
+  return converge_ && moments.count() >= min_samples_ &&
+         interval(moments).relative_half_width() <= tolerance_;
 }
 
 }  // namespace rooftune::core

@@ -1,17 +1,15 @@
 #pragma once
-// The four stop conditions of §III-C, as composable policies.
+// The four stop conditions of §III-C as one flat value.
 //
-// Each condition inspects the running evaluation state after every sample
-// and may end the loop with a reason.  The same machinery serves the inner
-// iteration loop and the outer invocation loop; the upper-bound condition
-// (stop condition 4) is what the paper toggles as "Inner"/"Outer".
+// StopRules holds the thresholds of both loop levels, which rules are on,
+// and the z critical value of the running confidence interval.  It is
+// built on the stack once per loop from TunerOptions and checked after
+// every sample; the upper-bound rule (stop condition 4) is what the paper
+// toggles as "Inner"/"Outer".
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "stats/confidence.hpp"
 #include "stats/trend.hpp"
@@ -19,6 +17,8 @@
 #include "util/units.hpp"
 
 namespace rooftune::core {
+
+struct TunerOptions;
 
 enum class StopReason {
   None,         ///< keep iterating
@@ -37,101 +37,55 @@ const char* to_string(StopReason reason);
 /// reader) can reject unknown reason spellings instead of misfiling them.
 std::optional<StopReason> stop_reason_from_string(std::string_view text);
 
-/// Everything a stop condition may inspect.
-struct EvalState {
-  const stats::OnlineMoments* moments = nullptr;   ///< running sample stats
-  util::Seconds accumulated_time{0.0};             ///< kernel time so far
-  std::uint64_t count = 0;                         ///< samples so far
-  std::optional<double> incumbent;                 ///< best known config value
-  const stats::TrendDetector* trend = nullptr;     ///< recent-sample trend
-};
-
-class StopCondition {
+class StopRules {
  public:
-  virtual ~StopCondition() = default;
+  /// Iteration loop: the time budget (-t), the iteration cap, the inner
+  /// prune ("I", after prune_min_count iterations) and convergence ("C"),
+  /// tested in that order.
+  static StopRules inner(const TunerOptions& options);
 
-  /// Returns the reason to stop, or StopReason::None to continue.
-  [[nodiscard]] virtual StopReason check(const EvalState& state) const = 0;
+  /// Invocation loop: the invocation cap, the outer prune ("O", after two
+  /// invocations) and convergence, tested in that order.
+  static StopRules outer(const TunerOptions& options);
 
-  [[nodiscard]] virtual std::string name() const = 0;
-};
+  /// The first rule that fires after `count` samples summarized by
+  /// `moments`, or StopReason::None to continue.  The prune rule needs an
+  /// incumbent, and `trend` is what its trend guard reads.
+  [[nodiscard]] StopReason check(const stats::OnlineMoments& moments,
+                                 util::Seconds accumulated, std::uint64_t count,
+                                 std::optional<double> incumbent,
+                                 const stats::TrendDetector& trend) const;
 
-/// Condition 1: accumulated kernel time >= budget (the -t flag, default 10 s).
-class MaxTimeStop final : public StopCondition {
- public:
-  explicit MaxTimeStop(util::Seconds budget);
-  [[nodiscard]] StopReason check(const EvalState& state) const override;
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] util::Seconds budget() const { return budget_; }
+  /// The running CI, bit-identical to stats::mean_confidence_interval at
+  /// the options' confidence and interval method.
+  [[nodiscard]] stats::ConfidenceInterval interval(
+      const stats::OnlineMoments& moments) const;
 
- private:
-  util::Seconds budget_;
-};
+  /// Condition 3: on, at least min-samples (and two) samples, and the CI
+  /// within ±tolerance of the mean.
+  [[nodiscard]] bool converged(const stats::OnlineMoments& moments) const;
 
-/// Condition 2: sample count >= cap (cuts off high-variance configurations
-/// whose CI converges slowly).
-class MaxCountStop final : public StopCondition {
- public:
-  explicit MaxCountStop(std::uint64_t cap);
-  [[nodiscard]] StopReason check(const EvalState& state) const override;
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::uint64_t cap() const { return cap_; }
-
- private:
-  std::uint64_t cap_;
-};
-
-/// Condition 3 ("Confidence"/"C"): stop when the CI at `confidence` has
-/// boundaries within ±`tolerance` of the mean (paper: 99 % and 1 %).
-class ConfidenceStop final : public StopCondition {
- public:
-  ConfidenceStop(double confidence, double tolerance, std::uint64_t min_samples = 2,
-                 stats::IntervalMethod method = stats::IntervalMethod::Normal);
-  [[nodiscard]] StopReason check(const EvalState& state) const override;
-  [[nodiscard]] std::string name() const override;
-
- private:
-  double confidence_;
-  double tolerance_;
-  std::uint64_t min_samples_;
-  stats::IntervalMethod method_;
-};
-
-/// Condition 4 ("Inner"/"Outer" pruning): stop when the CI's upper bound is
-/// below the incumbent optimum — the configuration cannot win (paper
-/// Listing 1: mean + marg < best).  `min_count` guards configurations whose
-/// performance rises during evaluation (§III-C.4; the 2695 v4 fix uses 100).
-/// With `trend_guard`, a detected rising trend also defers pruning — the
-/// §VII future-work refinement.
-class UpperBoundStop final : public StopCondition {
- public:
-  UpperBoundStop(double confidence, std::uint64_t min_count = 2,
-                 bool trend_guard = false,
-                 stats::IntervalMethod method = stats::IntervalMethod::Normal);
-  [[nodiscard]] StopReason check(const EvalState& state) const override;
-  [[nodiscard]] std::string name() const override;
-
- private:
-  double confidence_;
-  std::uint64_t min_count_;
-  bool trend_guard_;
-  stats::IntervalMethod method_;
-};
-
-/// Ordered set of stop conditions; first condition that fires wins.
-class StopSet {
- public:
-  void add(std::shared_ptr<const StopCondition> condition);
-
-  [[nodiscard]] StopReason check(const EvalState& state) const;
-
-  [[nodiscard]] std::size_t size() const { return conditions_.size(); }
-  [[nodiscard]] const std::vector<std::shared_ptr<const StopCondition>>& conditions() const {
-    return conditions_;
+  /// §VII trend guard: with it on, pruning waits while the trend window
+  /// is too small to tell (under 8 samples) or shows a rising trend.
+  [[nodiscard]] bool prune_deferred(const stats::TrendDetector& trend) const {
+    return trend_guard_ && (trend.size() < 8 || trend.rising());
   }
 
  private:
-  std::vector<std::shared_ptr<const StopCondition>> conditions_;
+  StopRules(const TunerOptions& options, util::Seconds budget,
+            std::uint64_t cap, bool prune, std::uint64_t prune_min_count);
+
+  util::Seconds budget_;  ///< +inf on the invocation loop: no time rule
+  std::uint64_t cap_;
+  bool prune_;
+  std::uint64_t prune_min_count_;  ///< floored at 2
+  bool converge_;
+  std::uint64_t min_samples_;      ///< floored at 2
+  double tolerance_;
+  bool trend_guard_;
+  double confidence_;
+  stats::IntervalMethod method_;
+  double z_;  ///< normal critical value at confidence_
 };
 
 }  // namespace rooftune::core

@@ -16,9 +16,8 @@ double ConfidenceInterval::relative_half_width() const {
   return half / std::fabs(mean);
 }
 
-ConfidenceInterval mean_confidence_interval(const OnlineMoments& moments,
-                                            double confidence,
-                                            IntervalMethod method) {
+ConfidenceInterval confidence_interval_at(const OnlineMoments& moments,
+                                          double confidence, double critical) {
   ConfidenceInterval ci;
   ci.mean = moments.mean();
   ci.confidence = confidence;
@@ -26,6 +25,16 @@ ConfidenceInterval mean_confidence_interval(const OnlineMoments& moments,
     ci.lower = ci.upper = ci.mean;
     return ci;
   }
+  const double half = critical * moments.standard_error();
+  ci.lower = ci.mean - half;
+  ci.upper = ci.mean + half;
+  return ci;
+}
+
+ConfidenceInterval mean_confidence_interval(const OnlineMoments& moments,
+                                            double confidence,
+                                            IntervalMethod method) {
+  if (moments.count() < 2) return confidence_interval_at(moments, confidence, 0.0);
   double critical = 0.0;
   switch (method) {
     case IntervalMethod::Normal:
@@ -48,17 +57,7 @@ ConfidenceInterval mean_confidence_interval(const OnlineMoments& moments,
       break;
     }
   }
-  const double half = critical * moments.standard_error();
-  ci.lower = ci.mean - half;
-  ci.upper = ci.mean + half;
-  return ci;
-}
-
-bool has_converged(const OnlineMoments& moments, double confidence, double tolerance,
-                   std::uint64_t min_samples, IntervalMethod method) {
-  if (moments.count() < min_samples || moments.count() < 2) return false;
-  const auto ci = mean_confidence_interval(moments, confidence, method);
-  return ci.relative_half_width() <= tolerance;
+  return confidence_interval_at(moments, confidence, critical);
 }
 
 }  // namespace rooftune::stats

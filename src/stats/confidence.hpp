@@ -43,11 +43,9 @@ ConfidenceInterval mean_confidence_interval(const OnlineMoments& moments,
                                             double confidence,
                                             IntervalMethod method = IntervalMethod::Normal);
 
-/// True when the CI has converged to within ±tolerance of the mean (the
-/// paper uses confidence = 0.99 and tolerance = 0.01).  Requires at least
-/// `min_samples` samples before it can report convergence.
-bool has_converged(const OnlineMoments& moments, double confidence, double tolerance,
-                   std::uint64_t min_samples = 2,
-                   IntervalMethod method = IntervalMethod::Normal);
+/// The same interval at a given two-sided critical value, for callers that
+/// compute it once (core::StopRules) instead of once per interval.
+ConfidenceInterval confidence_interval_at(const OnlineMoments& moments,
+                                          double confidence, double critical);
 
 }  // namespace rooftune::stats

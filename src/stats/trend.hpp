@@ -6,7 +6,7 @@
 // upper-bound stop condition before they reveal their true performance.  The
 // TrendDetector fits a least-squares line over a sliding window of the most
 // recent samples; a significantly positive slope tells the stop condition to
-// hold off.  This powers core::UpperBoundStopCondition's trend-guard mode.
+// hold off.  This powers the trend guard of core::StopRules.
 
 #include <cstddef>
 #include <vector>
@@ -35,13 +35,10 @@ class TrendDetector {
   /// at least half full.
   [[nodiscard]] bool rising(double min_relative_slope = 1e-3) const;
 
-  void reset();
-
  private:
   std::vector<double> ring_;
   std::size_t next_ = 0;
   std::size_t used_ = 0;
-  std::size_t total_ = 0;
 };
 
 }  // namespace rooftune::stats

@@ -70,6 +70,25 @@ TEST(ArgParser, Errors) {
   p5.parse({"--timeout", "abc"});
   EXPECT_THROW(static_cast<void>(p5.get_int("timeout", 0)), std::invalid_argument);
   EXPECT_THROW(static_cast<void>(p5.get_double("timeout", 0.0)), std::invalid_argument);
+  // The whole token must be the number: no suffix, sign or padding, and
+  // NaN is not one.
+  for (const char* bad : {"50abc", "5 ", " 5", "+5", "1.5.2"}) {
+    auto p6 = make_parser();
+    p6.parse({"--timeout", bad});
+    EXPECT_THROW(static_cast<void>(p6.get_int("timeout", 0)), std::invalid_argument) << bad;
+    EXPECT_THROW(static_cast<void>(p6.get_double("timeout", 0.0)), std::invalid_argument)
+        << bad;
+  }
+  for (const char* nan : {"nan", "NaN", "-nan"}) {
+    auto p7 = make_parser();
+    p7.parse({"--timeout", nan});
+    EXPECT_THROW(static_cast<void>(p7.get_double("timeout", 0.0)), std::invalid_argument)
+        << nan;
+  }
+  auto p8 = make_parser();
+  p8.parse({"--timeout", "2.5"});
+  EXPECT_THROW(static_cast<void>(p8.get_int("timeout", 0)), std::invalid_argument);
+  EXPECT_EQ(p8.get_double("timeout", 0.0), 2.5);
 }
 
 // --counter-prune style options: the value is optional, and only a

@@ -240,6 +240,38 @@ TEST(CliOptions, SmallSpaceRefusesGridScale) {
             0);
 }
 
+// Tuner numbers parse as a whole token and never as NaN: a NaN --timeout
+// used to drop the time budget, a NaN --setup-overhead printed a garbage
+// duration, and "50abc" tuned with 50 iterations.
+TEST(CliOptions, NumbersMustBeWholeAndNotNaN) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"--timeout", "nan", "'nan' is not a number"},
+      {"--setup-overhead", "nan", "'nan' is not a number"},
+      {"--iterations", "50abc", "'50abc' is not an integer"},
+  };
+  for (const auto& c : cases) {
+    const auto r = run({"dgemm", "--machine", "gold6148", c[0], c[1]});
+    EXPECT_EQ(r.code, 1) << c[0];
+    EXPECT_NE(r.err.find(c[0] + ": " + c[2]), std::string::npos) << r.err;
+  }
+}
+
+// An unsigned tuner count refuses a negative value by name instead of
+// wrapping it to a cap near 2^64; zero caps are refused by the stop rules.
+TEST(CliOptions, TunerCountsRejectNegatives) {
+  for (const char* option : {"--invocations", "--iterations", "--min-count",
+                             "--racing-min", "--seed-budget", "--confirm-top"}) {
+    const auto r = run({"dgemm", "--machine", "gold6148", option, "-5"});
+    EXPECT_EQ(r.code, 1) << option;
+    EXPECT_NE(r.err.find(std::string(option) + " must be >= 0"), std::string::npos)
+        << option << ": " << r.err;
+  }
+  const auto zero = run({"dgemm", "--machine", "gold6148", "--iterations", "0"});
+  EXPECT_EQ(zero.code, 1);
+  EXPECT_NE(zero.err.find("TunerOptions::iterations must be > 0"), std::string::npos)
+      << zero.err;
+}
+
 TEST(CliOptions, KernelHelpListsItsOwnOptions) {
   const auto r = run({"dgemm", "--help"});
   EXPECT_EQ(r.code, 0) << r.err;

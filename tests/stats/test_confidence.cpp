@@ -69,27 +69,6 @@ TEST(ConfidenceInterval, OverlapAndContainment) {
   EXPECT_FALSE(a.contains(2.5));
 }
 
-TEST(HasConverged, FiresOnceIntervalIsTight) {
-  // Tiny spread around 100: CI is far inside +/-1 %.
-  const auto tight = from({100.0, 100.01, 99.99, 100.02, 99.98, 100.0});
-  EXPECT_TRUE(has_converged(tight, 0.99, 0.01));
-
-  const auto loose = from({80.0, 120.0, 95.0, 110.0});
-  EXPECT_FALSE(has_converged(loose, 0.99, 0.01));
-}
-
-TEST(HasConverged, RespectsMinSamples) {
-  const auto tight = from({100.0, 100.0001});
-  EXPECT_TRUE(has_converged(tight, 0.99, 0.01, 2));
-  EXPECT_FALSE(has_converged(tight, 0.99, 0.01, 5));
-}
-
-TEST(HasConverged, NeverWithOneSample) {
-  OnlineMoments m;
-  m.add(50.0);
-  EXPECT_FALSE(has_converged(m, 0.99, 0.01));
-}
-
 // Monte-Carlo coverage: the 95 % normal CI over n=100 normal samples should
 // contain the true mean in roughly 95 % of trials.
 TEST(ConfidenceInterval, CoverageIsApproximatelyNominal) {

@@ -68,14 +68,6 @@ TEST(TrendDetector, NeedsHalfFullWindow) {
   EXPECT_FALSE(t.rising());  // only 5 of 16 samples seen
 }
 
-TEST(TrendDetector, ResetClears) {
-  TrendDetector t(8);
-  for (int i = 0; i < 8; ++i) t.add(static_cast<double>(i));
-  t.reset();
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_DOUBLE_EQ(t.slope(), 0.0);
-}
-
 TEST(TrendDetector, RejectsTinyWindow) {
   EXPECT_THROW(TrendDetector(3), std::invalid_argument);
 }
