@@ -81,6 +81,12 @@ class Backend {
   /// Tear down the invocation (free buffers / account teardown time).
   virtual void end_invocation() = 0;
 
+  /// A checkpointed run replays a logged invocation of `config` instead of
+  /// running it.  Backends whose state depends on the invocations run so far
+  /// (the simulated arena's slab high-water mark) account it here, without
+  /// charging the clock; the default does nothing.
+  virtual void replay_invocation(const Configuration& config) { (void)config; }
+
   /// The time source all durations are measured against.
   [[nodiscard]] virtual const util::Clock& clock() const = 0;
 

@@ -164,6 +164,7 @@ InvocationResult run_invocation(Backend& backend, const Configuration& config,
                                 const TraceContext& trace_ctx) {
   if (options.checkpoint != nullptr) {
     if (auto logged = options.checkpoint->replay(trace_ctx, invocation_index, options.trace)) {
+      backend.replay_invocation(config);
       return std::move(*logged);
     }
   }

@@ -73,11 +73,34 @@ void SimBackendBase::begin_invocation(const core::Configuration& config,
   inv_kernel_s_ = 0.0;
   inv_flops_ = 0.0;
   inv_bytes_ = 0.0;
-  counter_traffic_scale_ = 1.0;
   timing_valid_ = false;
-  setup_phase_ = true;
-  do_begin_invocation(config, invocation_index);
-  setup_phase_ = false;
+  model_ = model(config);
+  iteration_ = 0;
+  in_invocation_ = true;
+
+  // The noise stream of (config, invocation) and its invocation bias.
+  rng_.reseed(util::hash_seed(options_.seed, name_hash(machine_.name),
+                              static_cast<std::uint64_t>(options_.sockets_used),
+                              config.hash(), invocation_index));
+  invocation_bias_ = rng_.lognormal(0.0, noise_.invocation_sigma * sigma_scale_);
+
+  if (options_.counter_model && model_.flop_rate) {
+    // The roofline over the counter model's LLC traffic caps the
+    // deliverable rate.  Keeping the clamp and the reported misses on the
+    // same traffic is what makes a counter-derived bound a true ceiling on
+    // every timing this backend can produce.
+    const double oi = model_.flops / (model_.bytes * model_.llc_scale);
+    const double cap =
+        machine_.theoretical_bandwidth(options_.sockets_used).value * oi;
+    if (model_.mean_rate > cap) model_.mean_rate = cap;
+  }
+  // Launch, operand lease, operand init and one untimed pre-heat kernel
+  // call (§III-A).
+  charge(options_.launch_overhead_s, true);
+  if (lease(model_.setup_bytes)) charge(options_.setup_overhead_s, true);
+  charge(model_.init_bytes / (options_.init_bandwidth_gbps * 1e9), true);
+  const double preheat_rate = sample_rate(model_.preheat_efficiency, 1);
+  charge(model_.work() / (preheat_rate * 1e9), true);
   // Straggler model: occupy the HOST (never the virtual clock) so
   // scheduler ablations see heterogeneous invocation costs while results
   // and journals stay bit-identical to cost_skew = 0.
@@ -89,10 +112,19 @@ void SimBackendBase::begin_invocation(const core::Configuration& config,
 }
 
 void SimBackendBase::end_invocation() {
-  setup_phase_ = true;
-  do_end_invocation();
-  setup_phase_ = false;
+  in_invocation_ = false;
+  charge(options_.teardown_s, true);
   timing_valid_ = true;
+}
+
+void SimBackendBase::replay_invocation(const core::Configuration& config) {
+  if (options_.arena_reuse) static_cast<void>(lease(model(config).setup_bytes));
+}
+
+void SimBackendBase::charge(double seconds, bool setup) {
+  clock_.advance(util::Seconds{seconds});
+  inv_wall_s_ += seconds;
+  if (setup) inv_setup_s_ += seconds;
 }
 
 std::optional<core::TelemetrySpan> SimBackendBase::last_invocation_telemetry()
@@ -134,12 +166,12 @@ std::optional<core::TelemetrySpan> SimBackendBase::last_invocation_telemetry()
   return span;
 }
 
-void SimBackendBase::charge_setup(double bytes) {
+bool SimBackendBase::lease(double bytes) {
   ++arena_stats_.leases;
   arena_stats_.bytes_leased += static_cast<std::uint64_t>(bytes);
   if (options_.arena_reuse && bytes <= high_water_bytes_) {
     ++arena_stats_.slab_hits;
-    return;
+    return false;
   }
   ++arena_stats_.slab_misses;
   ++arena_stats_.allocations;
@@ -147,7 +179,7 @@ void SimBackendBase::charge_setup(double bytes) {
   arena_stats_.bytes_reserved = static_cast<std::uint64_t>(high_water_bytes_);
   arena_stats_.pages_touched +=
       static_cast<std::uint64_t>(bytes) / util::WorkspaceArena::page_size() + 1;
-  charge_seconds(options_.setup_overhead_s);
+  return true;
 }
 
 std::optional<core::CounterSample> SimBackendBase::last_invocation_counters()
@@ -173,7 +205,7 @@ std::optional<core::CounterSample> SimBackendBase::last_invocation_counters()
   sample.instructions = static_cast<std::uint64_t>(std::llround(
       inv_flops_ / flops_per_instr + inv_bytes_ / 64.0));
   sample.llc_misses = static_cast<std::uint64_t>(
-      std::llround(inv_bytes_ * counter_traffic_scale_ / 64.0));
+      std::llround(inv_bytes_ * model_.llc_scale / 64.0));
   sample.time_enabled_ns =
       static_cast<std::uint64_t>(std::llround(inv_kernel_s_ * 1e9));
   sample.time_running_ns = sample.time_enabled_ns;
@@ -182,14 +214,40 @@ std::optional<core::CounterSample> SimBackendBase::last_invocation_counters()
   return sample;
 }
 
-core::Sample SimBackendBase::run_iteration() {
-  core::Sample sample = true_iteration();
+std::optional<double> SimBackendBase::analytic_intensity(
+    const core::Configuration& config) const {
+  InvocationModel m;
+  try {
+    m = model(config);
+  } catch (const std::logic_error&) {
+    return std::nullopt;  // a missing parameter or an out-of-range value
+  }
+  if (!m.flop_rate) return std::nullopt;
+  const double scale = options_.counter_model ? m.llc_scale : 1.0;
+  return m.flops / (m.bytes * scale);
+}
+
+core::Sample SimBackendBase::kernel_sample() {
+  if (!in_invocation_) {
+    throw std::logic_error("simulated backend: run_iteration outside invocation");
+  }
+  ++iteration_;
+  const double rate = sample_rate(model_.iteration_efficiency, iteration_);
+  core::Sample sample;
+  sample.value = rate;
+  sample.kernel_time = util::Seconds{model_.work() / (rate * 1e9)};
+  charge(sample.kernel_time.value, false);
   // Counter model: the timed kernel phase accumulates true kernel seconds
   // and the analytic work/traffic of each iteration (timer-pair overhead
   // retires no kernel instructions, so it stays out).
   inv_kernel_s_ += sample.kernel_time.value;
-  inv_flops_ += flops_per_iteration().value_or(0.0);
-  inv_bytes_ += bytes_per_iteration().value_or(0.0);
+  inv_flops_ += model_.flops;
+  inv_bytes_ += model_.bytes;
+  return sample;
+}
+
+core::Sample SimBackendBase::run_iteration() {
+  core::Sample sample = kernel_sample();
   const double o = options_.timer_overhead_s;
   if (o > 0.0) {
     // One timer pair wraps this single iteration: the measured span is the
@@ -198,7 +256,7 @@ core::Sample SimBackendBase::run_iteration() {
     const double t = sample.kernel_time.value;
     sample.value *= t / (t + o);
     sample.kernel_time = util::Seconds{t + o};
-    charge_seconds(o);
+    charge(o, false);
   }
   return sample;
 }
@@ -207,13 +265,10 @@ core::BatchSample SimBackendBase::run_batch(std::uint64_t count) {
   core::BatchSample batch;
   double work = 0.0;
   for (std::uint64_t i = 0; i < count; ++i) {
-    const core::Sample s = true_iteration();
+    const core::Sample s = kernel_sample();
     work += s.value * s.kernel_time.value;
     batch.kernel_time += s.kernel_time;
     ++batch.count;
-    inv_kernel_s_ += s.kernel_time.value;
-    inv_flops_ += flops_per_iteration().value_or(0.0);
-    inv_bytes_ += bytes_per_iteration().value_or(0.0);
   }
   if (batch.count == 0) return batch;
   const double o = options_.timer_overhead_s;
@@ -223,21 +278,12 @@ core::BatchSample SimBackendBase::run_batch(std::uint64_t count) {
   batch.value = batch.kernel_time.value > 0.0
                     ? work / batch.kernel_time.value
                     : 0.0;
-  if (o > 0.0) charge_seconds(o);
+  if (o > 0.0) charge(o, false);
   return batch;
 }
 
-void SimBackendBase::start_noise_stream(const core::Configuration& config,
-                                        std::uint64_t invocation_index) {
-  rng_.reseed(util::hash_seed(options_.seed, name_hash(machine_.name),
-                              static_cast<std::uint64_t>(options_.sockets_used),
-                              config.hash(), invocation_index));
-  invocation_bias_ = rng_.lognormal(0.0, noise_.invocation_sigma * sigma_scale_);
-}
-
-double SimBackendBase::sample_rate(double mean_rate, double efficiency,
-                                   std::uint64_t iteration) {
-  double rate = mean_rate * invocation_bias_ *
+double SimBackendBase::sample_rate(double efficiency, std::uint64_t iteration) {
+  double rate = model_.mean_rate * invocation_bias_ *
                 ramp_factor(noise_, efficiency, iteration) *
                 rng_.lognormal(0.0, noise_.iter_sigma * sigma_scale_);
   if (rng_.uniform() < noise_.outlier_prob) rate *= noise_.outlier_factor;
@@ -250,83 +296,28 @@ SimDgemmBackend::SimDgemmBackend(MachineSpec machine, SimOptions options)
     : SimBackendBase(std::move(machine), options),
       surface_(machine_, options_.sockets_used) {}
 
-void SimDgemmBackend::do_begin_invocation(const core::Configuration& config,
-                                          std::uint64_t invocation_index) {
-  n_ = config.at("n");
-  m_ = config.at("m");
-  k_ = config.at("k");
-  efficiency_ = surface_.efficiency(n_, m_, k_);
-  mean_rate_ = surface_.mean_gflops(n_, m_, k_).value;
-  flops_ = blas::dgemm_flops(m_, n_, k_).value;
-  iteration_ = 0;
-  in_invocation_ = true;
-
-  start_noise_stream(config, invocation_index);
-
-  // Launch + operand init (A: n*k, B: k*m, C: n*m doubles) + one untimed
-  // pre-heat DGEMM call (§III-A).
-  bytes_ = 8.0 * (static_cast<double>(n_) * k_ +
-                  static_cast<double>(k_) * m_ +
-                  static_cast<double>(n_) * m_);
-  if (options_.counter_model) {
-    // Memory-hierarchy model: operands past L3 re-stream across the panel
-    // sweep, multiplying LLC traffic; the roofline over that traffic caps
-    // the deliverable rate.  Keeping the clamp and the reported misses on
-    // the same model is what makes a counter-derived bound a true ceiling
-    // on every timing this backend can produce.
-    counter_traffic_scale_ = spill_scale(bytes_);
-    const double oi = flops_ / (bytes_ * counter_traffic_scale_);
-    const double cap =
-        machine_.theoretical_bandwidth(options_.sockets_used).value * oi;
-    if (mean_rate_ > cap) mean_rate_ = cap;
-  }
-  charge_seconds(options_.launch_overhead_s);
-  charge_setup(bytes_);
-  charge_seconds(bytes_ / (options_.init_bandwidth_gbps * 1e9));
-  const double preheat_rate = sample_rate(mean_rate_, efficiency_, 1);
-  charge_seconds(flops_ / (preheat_rate * 1e9));
-}
-
-core::Sample SimDgemmBackend::true_iteration() {
-  if (!in_invocation_) {
-    throw std::logic_error("SimDgemmBackend: run_iteration outside invocation");
-  }
-  ++iteration_;
-  const double rate = sample_rate(mean_rate_, efficiency_, iteration_);
-  core::Sample sample;
-  sample.value = rate;
-  sample.kernel_time = util::Seconds{flops_ / (rate * 1e9)};
-  charge(sample.kernel_time);
-  return sample;
-}
-
-void SimDgemmBackend::do_end_invocation() {
-  in_invocation_ = false;
-  charge_seconds(options_.teardown_s);
-}
-
-double SimDgemmBackend::spill_scale(double ws_bytes) const {
-  const double l3 =
-      static_cast<double>(machine_.l3_capacity(options_.sockets_used).value);
-  if (!(l3 > 0.0) || ws_bytes <= l3) return 1.0;
-  return std::pow(ws_bytes / l3, options_.counter_spill_exponent);
-}
-
-std::optional<double> SimDgemmBackend::analytic_intensity(
-    const core::Configuration& config) const {
-  if (!config.has("n") || !config.has("m") || !config.has("k")) {
-    return std::nullopt;
-  }
+InvocationModel SimDgemmBackend::model(const core::Configuration& config) const {
   const std::int64_t n = config.at("n");
   const std::int64_t m = config.at("m");
   const std::int64_t k = config.at("k");
-  if (n <= 0 || m <= 0 || k <= 0) return std::nullopt;
-  const double flops = blas::dgemm_flops(m, n, k).value;
-  const double bytes = 8.0 * (static_cast<double>(n) * k +
-                              static_cast<double>(k) * m +
-                              static_cast<double>(n) * m);
-  const double scale = options_.counter_model ? spill_scale(bytes) : 1.0;
-  return flops / (bytes * scale);
+  InvocationModel model;
+  model.preheat_efficiency = surface_.efficiency(n, m, k);
+  model.iteration_efficiency = model.preheat_efficiency;
+  model.mean_rate = surface_.mean_gflops(n, m, k).value;
+  model.flops = blas::dgemm_flops(m, n, k).value;
+  // The operands A: n*k, B: k*m, C: n*m doubles, leased and initialized.
+  model.bytes = 8.0 * (static_cast<double>(n) * k + static_cast<double>(k) * m +
+                       static_cast<double>(n) * m);
+  model.setup_bytes = model.bytes;
+  model.init_bytes = model.bytes;
+  // Operands past L3 cannot be held across the k-panel sweep: LLC traffic
+  // grows over the compulsory bytes by (working_set / L3)^exponent.
+  const double l3 =
+      static_cast<double>(machine_.l3_capacity(options_.sockets_used).value);
+  if (l3 > 0.0 && model.bytes > l3) {
+    model.llc_scale = std::pow(model.bytes / l3, options_.counter_spill_exponent);
+  }
+  return model;
 }
 
 // ---- SimTriadBackend -------------------------------------------------------
@@ -336,12 +327,13 @@ SimTriadBackend::SimTriadBackend(MachineSpec machine, SimOptions options)
       surface_(machine_, options_.sockets_used, options_.affinity,
                options_.model_inner_caches) {}
 
-void SimTriadBackend::do_begin_invocation(const core::Configuration& config,
-                                          std::uint64_t invocation_index) {
+InvocationModel SimTriadBackend::model(const core::Configuration& config) const {
+  const std::int64_t n = config.at("N");
   // All three vectors are resident regardless of kernel (24 bytes/element);
   // the *traffic* per pass depends on how many streams the kernel touches.
   const util::Bytes ws = core::triad_working_set(config);
-  mean_rate_ = surface_.mean_bandwidth(options_.stream_kernel, ws).value;
+  InvocationModel model;
+  model.mean_rate = surface_.mean_bandwidth(options_.stream_kernel, ws).value;
   // Optional "nt" dimension (store-policy tuning): non-temporal stores skip
   // write-allocate, so a DRAM-resident working set moves (bytes+8)/bytes
   // fewer hardware bytes per element — reported STREAM-convention bandwidth
@@ -353,50 +345,28 @@ void SimTriadBackend::do_begin_invocation(const core::Configuration& config,
     const double l3 =
         static_cast<double>(machine_.l3_capacity(options_.sockets_used).value);
     if (static_cast<double>(ws.value) > 2.0 * l3) {
-      mean_rate_ *= (reported + 8.0) / reported;
+      model.mean_rate *= (reported + 8.0) / reported;
     } else {
-      mean_rate_ *= 0.5;
+      model.mean_rate *= 0.5;
     }
   }
-  bytes_ = static_cast<double>(
+  // TRIAD warm-up is negligible compared to DGEMM (no frequency licensing):
+  // the pre-heat pass runs at full efficiency, and the timed passes apply
+  // the ramp with efficiency 0 (a mild first-pass effect appears only when
+  // the profile covers all configurations, threshold 0).
+  model.preheat_efficiency = 1.0;
+  model.iteration_efficiency = 0.0;
+  model.bytes = static_cast<double>(
       stream::bytes_per_element(options_.stream_kernel).value *
-      static_cast<std::uint64_t>(config.at("N")));
-  flops_ = static_cast<double>(
+      static_cast<std::uint64_t>(n));
+  model.flops = static_cast<double>(
       stream::flops_per_element(options_.stream_kernel).value *
-      static_cast<std::uint64_t>(config.at("N")));
-  iteration_ = 0;
-  in_invocation_ = true;
-
-  start_noise_stream(config, invocation_index);
-
-  // Launch + first-touch initialization + one pre-heat pass.
-  charge_seconds(options_.launch_overhead_s);
+      static_cast<std::uint64_t>(n));
   // All three vectors are allocated even though the kernel may read fewer.
-  charge_setup(3.0 * 8.0 * static_cast<double>(config.at("N")));
-  charge_seconds(bytes_ / (options_.init_bandwidth_gbps * 1e9));
-  const double preheat_rate = sample_rate(mean_rate_, /*efficiency=*/1.0, 1);
-  charge_seconds(bytes_ / (preheat_rate * 1e9));
-}
-
-core::Sample SimTriadBackend::true_iteration() {
-  if (!in_invocation_) {
-    throw std::logic_error("SimTriadBackend: run_iteration outside invocation");
-  }
-  ++iteration_;
-  // TRIAD warm-up is negligible compared to DGEMM (no frequency licensing),
-  // so the ramp is applied with efficiency 0 unless the profile covers all
-  // configurations (threshold 0) — then a mild first-pass effect appears.
-  const double rate = sample_rate(mean_rate_, /*efficiency=*/0.0, iteration_);
-  core::Sample sample;
-  sample.value = rate;
-  sample.kernel_time = util::Seconds{bytes_ / (rate * 1e9)};
-  charge(sample.kernel_time);
-  return sample;
-}
-
-void SimTriadBackend::do_end_invocation() {
-  in_invocation_ = false;
-  charge_seconds(options_.teardown_s);
+  model.setup_bytes = 3.0 * 8.0 * static_cast<double>(n);
+  model.init_bytes = model.bytes;
+  model.flop_rate = false;
+  return model;
 }
 
 // ---- SimSpmvBackend --------------------------------------------------------
@@ -405,80 +375,28 @@ SimSpmvBackend::SimSpmvBackend(MachineSpec machine, SimOptions options)
     : SimBackendBase(std::move(machine), options),
       surface_(machine_, options_.sockets_used) {}
 
-void SimSpmvBackend::do_begin_invocation(const core::Configuration& config,
-                                         std::uint64_t invocation_index) {
+InvocationModel SimSpmvBackend::model(const core::Configuration& config) const {
   const std::int64_t rows = config.at("rows");
   const SpmvFormat format = spmv_format_from(config.at("format"));
   const int block = static_cast<int>(config.at("block"));
   const SpmvMatrixStats stats = spmv_matrix_stats(rows);
   const SpmvTraffic traffic = spmv_traffic(stats, format, block);
-  bytes_ = traffic.total();
-  flops_ = 2.0 * static_cast<double>(stats.nnz);
-  mean_rate_ = surface_.mean_gflops(stats, format, block);
-  iteration_ = 0;
-  in_invocation_ = true;
-
-  start_noise_stream(config, invocation_index);
-
-  if (options_.counter_model) {
-    // The LLC-miss traffic is the DRAM-side fraction of the format bytes:
-    // resident matrices leak only a trickle past L3, spilled ones re-fetch
-    // gathered x lines.  Clamping the rate by the roofline over that same
-    // traffic keeps counter signatures and timings on one model — without
-    // the fraction, L3-resident configs (which legitimately exceed DRAM
-    // bandwidth) would be clamped to it.
-    counter_traffic_scale_ = surface_.dram_fraction(bytes_);
-    const double oi = flops_ / (bytes_ * counter_traffic_scale_);
-    const double cap =
-        machine_.theoretical_bandwidth(options_.sockets_used).value * oi;
-    if (mean_rate_ > cap) mean_rate_ = cap;
-  }
-  charge_seconds(options_.launch_overhead_s);
+  InvocationModel model;
+  model.bytes = traffic.total();
+  model.flops = 2.0 * static_cast<double>(stats.nnz);
+  model.mean_rate = surface_.mean_gflops(stats, format, block);
+  // Bandwidth-bound kernel: no frequency-licensing warm-up (efficiency 0).
   // Allocated operands: stored values + index structures + the x/y vectors
   // (16 bytes/row; the traffic term's extra 8 is y's read, not storage).
-  charge_setup(traffic.value_bytes + traffic.index_bytes +
-               16.0 * static_cast<double>(rows));
-  charge_seconds(bytes_ / (options_.init_bandwidth_gbps * 1e9));
-  const double preheat_rate = sample_rate(mean_rate_, /*efficiency=*/0.0, 1);
-  charge_seconds(flops_ / (preheat_rate * 1e9));
-}
-
-core::Sample SimSpmvBackend::true_iteration() {
-  if (!in_invocation_) {
-    throw std::logic_error("SimSpmvBackend: run_iteration outside invocation");
-  }
-  ++iteration_;
-  // Bandwidth-bound kernel: no frequency-licensing warm-up, so the ramp is
-  // applied with efficiency 0 (same rationale as TRIAD).
-  const double rate = sample_rate(mean_rate_, /*efficiency=*/0.0, iteration_);
-  core::Sample sample;
-  sample.value = rate;
-  sample.kernel_time = util::Seconds{flops_ / (rate * 1e9)};
-  charge(sample.kernel_time);
-  return sample;
-}
-
-void SimSpmvBackend::do_end_invocation() {
-  in_invocation_ = false;
-  charge_seconds(options_.teardown_s);
-}
-
-std::optional<double> SimSpmvBackend::analytic_intensity(
-    const core::Configuration& config) const {
-  if (!config.has("rows") || !config.has("format") || !config.has("block")) {
-    return std::nullopt;
-  }
-  const std::int64_t rows = config.at("rows");
-  const std::int64_t format = config.at("format");
-  const std::int64_t block = config.at("block");
-  if (rows <= 0 || format < 0 || format > 2 || block < 1) return std::nullopt;
-  const SpmvMatrixStats stats = spmv_matrix_stats(rows);
-  const SpmvTraffic traffic =
-      spmv_traffic(stats, spmv_format_from(format), static_cast<int>(block));
-  const double bytes = traffic.total();
-  const double scale =
-      options_.counter_model ? surface_.dram_fraction(bytes) : 1.0;
-  return 2.0 * static_cast<double>(stats.nnz) / (bytes * scale);
+  model.setup_bytes =
+      traffic.value_bytes + traffic.index_bytes + 16.0 * static_cast<double>(rows);
+  model.init_bytes = model.bytes;
+  // The LLC-miss traffic is the DRAM-side fraction of the format bytes:
+  // resident matrices leak only a trickle past L3, spilled ones re-fetch
+  // gathered x lines.  Without the fraction, L3-resident configs (which
+  // legitimately exceed DRAM bandwidth) would be clamped to it.
+  model.llc_scale = surface_.dram_fraction(model.bytes);
+  return model;
 }
 
 // ---- SimStencilBackend -----------------------------------------------------
@@ -488,72 +406,21 @@ SimStencilBackend::SimStencilBackend(MachineSpec machine, SimOptions options,
     : SimBackendBase(std::move(machine), options),
       surface_(machine_, options_.sockets_used, grid_n) {}
 
-void SimStencilBackend::do_begin_invocation(const core::Configuration& config,
-                                            std::uint64_t invocation_index) {
+InvocationModel SimStencilBackend::model(const core::Configuration& config) const {
   const std::int64_t ti = config.at("ti");
   const std::int64_t tj = config.at("tj");
   const std::int64_t unroll = config.at("unroll");
-  bytes_ = surface_.sweep_bytes(ti, tj);
-  flops_ = surface_.sweep_flops();
-  mean_rate_ = surface_.mean_gflops(ti, tj, unroll);
-  iteration_ = 0;
-  in_invocation_ = true;
-
-  start_noise_stream(config, invocation_index);
-
-  if (options_.counter_model) {
-    // Misses are the DRAM-side fraction of the tiling traffic, set by the
-    // resident grids (not the per-tile streams); see SimSpmvBackend for why
-    // the clamp must use the same fraction.
-    counter_traffic_scale_ = surface_.dram_fraction();
-    const double oi = flops_ / (bytes_ * counter_traffic_scale_);
-    const double cap =
-        machine_.theoretical_bandwidth(options_.sockets_used).value * oi;
-    if (mean_rate_ > cap) mean_rate_ = cap;
-  }
-  charge_seconds(options_.launch_overhead_s);
-  charge_setup(surface_.grid_bytes());
-  charge_seconds(surface_.grid_bytes() /
-                 (options_.init_bandwidth_gbps * 1e9));
-  const double preheat_rate = sample_rate(mean_rate_, /*efficiency=*/0.0, 1);
-  charge_seconds(flops_ / (preheat_rate * 1e9));
-}
-
-core::Sample SimStencilBackend::true_iteration() {
-  if (!in_invocation_) {
-    throw std::logic_error(
-        "SimStencilBackend: run_iteration outside invocation");
-  }
-  ++iteration_;
-  const double rate = sample_rate(mean_rate_, /*efficiency=*/0.0, iteration_);
-  core::Sample sample;
-  sample.value = rate;
-  sample.kernel_time = util::Seconds{flops_ / (rate * 1e9)};
-  charge(sample.kernel_time);
-  return sample;
-}
-
-void SimStencilBackend::do_end_invocation() {
-  in_invocation_ = false;
-  charge_seconds(options_.teardown_s);
-}
-
-std::optional<double> SimStencilBackend::analytic_intensity(
-    const core::Configuration& config) const {
-  if (!config.has("ti") || !config.has("tj") || !config.has("unroll")) {
-    return std::nullopt;
-  }
-  const std::int64_t ti = config.at("ti");
-  const std::int64_t tj = config.at("tj");
-  const std::int64_t unroll = config.at("unroll");
-  if (ti < 1 || tj < 1) return std::nullopt;
-  if (unroll != 1 && unroll != 2 && unroll != 4 && unroll != 8) {
-    return std::nullopt;
-  }
-  const double bytes = surface_.sweep_bytes(ti, tj);
-  const double scale =
-      options_.counter_model ? surface_.dram_fraction() : 1.0;
-  return surface_.sweep_flops() / (bytes * scale);
+  InvocationModel model;
+  model.mean_rate = surface_.mean_gflops(ti, tj, unroll);
+  model.bytes = surface_.sweep_bytes(ti, tj);
+  model.flops = surface_.sweep_flops();
+  // Bandwidth-bound sweep: no warm-up ramp (efficiency 0).  Both grids are
+  // leased and initialized; misses are the DRAM-side fraction of the
+  // tiling traffic, set by the resident grids (not the per-tile streams).
+  model.setup_bytes = surface_.grid_bytes();
+  model.init_bytes = surface_.grid_bytes();
+  model.llc_scale = surface_.dram_fraction();
+  return model;
 }
 
 }  // namespace rooftune::simhw

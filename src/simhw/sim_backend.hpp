@@ -130,19 +130,57 @@ struct SimOptions {
 double invocation_cost_multiplier(const core::Configuration& config,
                                   const SimOptions& options);
 
-/// Common plumbing for both simulated backends.
+/// What one configuration delivers and costs on the simulated machine: the
+/// pure, noise-free part of an invocation, and the only thing a simulated
+/// kernel defines.  SimBackendBase drives the whole invocation from it.
+struct InvocationModel {
+  double mean_rate = 0.0;  ///< surface rate in the backend's metric
+  /// Warm-up ramp inputs (noise.hpp ramp_factor) of the untimed pre-heat
+  /// call and of the timed iterations.
+  double preheat_efficiency = 0.0;
+  double iteration_efficiency = 0.0;
+  double flops = 0.0;        ///< analytic FLOP per kernel call
+  double bytes = 0.0;        ///< analytic bytes moved per kernel call
+  double setup_bytes = 0.0;  ///< working set leased at setup (arena model)
+  double init_bytes = 0.0;   ///< bytes operand initialization writes
+  /// LLC traffic over `bytes` under the counter model (the L3-spill or
+  /// DRAM-fraction multiplier; 1 for a plain stream).
+  double llc_scale = 1.0;
+  /// True for a GFLOP/s metric: each sample divides `flops` by its rate,
+  /// the counter model clamps the rate to the roofline over the LLC
+  /// traffic, and analytic_intensity predicts flops / traffic.  False for a
+  /// GB/s metric (TRIAD): samples divide `bytes`, nothing clamps and no
+  /// intensity is predicted.
+  bool flop_rate = true;
+
+  /// The work each sample divides by its rate: flops or bytes.
+  [[nodiscard]] double work() const { return flop_rate ? flops : bytes; }
+};
+
+/// The invocation lifecycle every simulated kernel shares.  begin_invocation
+/// charges launch, the operand lease, operand init and one untimed pre-heat
+/// call; each iteration draws one noisy rate around the model's mean; the
+/// teardown closes the invocation.  A subclass supplies its metric name and
+/// model(); everything else lives here.
 class SimBackendBase : public core::Backend {
  public:
   SimBackendBase(MachineSpec machine, SimOptions options);
 
-  /// Invocation boundaries are final here so the base can bracket the
-  /// subclass model (do_begin/do_end_invocation) with per-invocation timing
-  /// accumulators — every charge() sums into them from zero, which is what
-  /// makes last_invocation_timing() independent of the clock's accumulated
-  /// base and therefore bit-identical across worker assignments.
+  /// The noise-free model of `config`.  Throws std::logic_error (missing
+  /// parameter, out-of-range value) for a configuration outside the model.
+  [[nodiscard]] virtual InvocationModel model(
+      const core::Configuration& config) const = 0;
+
+  /// Every charge sums into per-invocation accumulators from zero, which is
+  /// what makes last_invocation_timing() independent of the clock's
+  /// accumulated base and therefore bit-identical across worker assignments.
   void begin_invocation(const core::Configuration& config,
                         std::uint64_t invocation_index) final;
   void end_invocation() final;
+  /// Account the operand lease of a replayed (checkpointed) invocation in
+  /// the arena model without charging the clock, so a resumed run's slab
+  /// high-water mark and counters match an uninterrupted run's.
+  void replay_invocation(const core::Configuration& config) final;
   [[nodiscard]] std::optional<InvocationTiming> last_invocation_timing()
       const final {
     if (!timing_valid_) return std::nullopt;
@@ -176,6 +214,19 @@ class SimBackendBase : public core::Backend {
   /// phase (SimOptions::counter_model); absent unless the model is engaged.
   [[nodiscard]] std::optional<core::CounterSample> last_invocation_counters()
       const final;
+  /// Predicted OI under the same traffic model the counter signatures use:
+  /// flops over bytes times the LLC scale when the counter model is on, so
+  /// measured and predicted OI agree exactly.  None for a GB/s metric and
+  /// for a configuration outside the model.
+  [[nodiscard]] std::optional<double> analytic_intensity(
+      const core::Configuration& config) const final;
+  /// The current (or last) invocation's model work; none before the first.
+  [[nodiscard]] std::optional<double> flops_per_iteration() const final {
+    return model_.flops > 0.0 ? std::optional<double>(model_.flops) : std::nullopt;
+  }
+  [[nodiscard]] std::optional<double> bytes_per_iteration() const final {
+    return model_.bytes > 0.0 ? std::optional<double>(model_.bytes) : std::nullopt;
+  }
   [[nodiscard]] const MachineSpec& machine() const { return machine_; }
   [[nodiscard]] const SimOptions& sim_options() const { return options_; }
   [[nodiscard]] const NoiseProfile& noise() const { return noise_; }
@@ -184,51 +235,38 @@ class SimBackendBase : public core::Backend {
   [[nodiscard]] util::Seconds now() const { return clock_.now(); }
 
  protected:
-  /// The kernel proper: one noisy sample + its true time charged to the
-  /// clock, with no timer-pair cost (the base adds that).
-  [[nodiscard]] virtual core::Sample true_iteration() = 0;
-
-  /// Subclass invocation model (launch, operand init, pre-heat / teardown);
-  /// the public begin/end_invocation wrap these with timing accounting.
-  virtual void do_begin_invocation(const core::Configuration& config,
-                                   std::uint64_t invocation_index) = 0;
-  virtual void do_end_invocation() = 0;
-
-  /// Derive the RNG for (config, invocation) and draw the invocation bias.
-  void start_noise_stream(const core::Configuration& config,
-                          std::uint64_t invocation_index);
-
-  /// One noisy sample around `mean_rate` for 1-based iteration `iteration`
-  /// of a configuration with surface efficiency `efficiency`.
-  [[nodiscard]] double sample_rate(double mean_rate, double efficiency,
-                                   std::uint64_t iteration);
-
-  void charge(util::Seconds t) {
-    clock_.advance(t);
-    inv_wall_s_ += t.value;
-    if (setup_phase_) inv_setup_s_ += t.value;
-  }
-  void charge_seconds(double t) { charge(util::Seconds{t}); }
-
-  /// Account one modelled working-set lease of `bytes` and charge
-  /// SimOptions::setup_overhead_s unless arena reuse turns it into a slab
-  /// hit (bytes within the high-water mark).
-  void charge_setup(double bytes);
-
   MachineSpec machine_;
   SimOptions options_;
+
+ private:
+  /// One noisy rate around the model's mean for 1-based iteration
+  /// `iteration` with warm-up efficiency `efficiency`.
+  [[nodiscard]] double sample_rate(double efficiency, std::uint64_t iteration);
+  /// The kernel proper: one noisy sample whose true time is charged to the
+  /// clock and accumulated for the counter model, with no timer-pair cost.
+  [[nodiscard]] core::Sample kernel_sample();
+  /// Advance the clock by `seconds` of this invocation; `setup` charges
+  /// (everything outside the timed iterations) also count toward
+  /// InvocationTiming::setup.
+  void charge(double seconds, bool setup);
+  /// Account one modelled working-set lease of `bytes`; true on a slab miss
+  /// (arena reuse off, or bytes past the high-water mark).
+  bool lease(double bytes);
+
   NoiseProfile noise_;
   util::VirtualClock clock_;
   util::Xoshiro256 rng_;
   double invocation_bias_ = 1.0;
   double sigma_scale_ = 1.0;
   double high_water_bytes_ = 0.0;  ///< modelled arena capacity
-  util::ArenaStats arena_stats_;   ///< modelled counters (see charge_setup)
+  util::ArenaStats arena_stats_;   ///< modelled counters (see lease)
+  InvocationModel model_;          ///< current invocation (rate clamped)
+  std::uint64_t iteration_ = 0;
+  bool in_invocation_ = false;
   // Per-invocation timing, accumulated from zero each begin_invocation so
   // the sums never depend on the clock's base (see last_invocation_timing).
   double inv_setup_s_ = 0.0;
   double inv_wall_s_ = 0.0;
-  bool setup_phase_ = false;
   bool timing_valid_ = false;
   // Counter-model accumulators over the timed kernel phase only (the
   // pre-heat call and launch/teardown are outside the perf bracket, same
@@ -236,171 +274,78 @@ class SimBackendBase : public core::Backend {
   double inv_kernel_s_ = 0.0;
   double inv_flops_ = 0.0;
   double inv_bytes_ = 0.0;
-  /// LLC-traffic multiplier over the compulsory bytes for the current
-  /// configuration (the L3-spill model; 1 when resident or model off).
-  /// Scales reported misses only — the instruction stream is unchanged.
-  double counter_traffic_scale_ = 1.0;
 };
 
-/// Simulated DGEMM benchmark program (metric: GFLOP/s).
+/// Simulated DGEMM benchmark program (metric: GFLOP/s).  2nmk FLOP per call
+/// over the three operand matrices, 8(nk + km + nm) bytes; under the counter
+/// model operands past L3 re-stream across the panel sweep, multiplying LLC
+/// traffic by (working_set / L3)^counter_spill_exponent.
 class SimDgemmBackend final : public SimBackendBase {
  public:
   SimDgemmBackend(MachineSpec machine, SimOptions options);
 
   [[nodiscard]] std::string metric_name() const override { return "GFLOP/s"; }
-  /// 2nmk FLOP per DGEMM call — analytic numerator of the intensity column.
-  [[nodiscard]] std::optional<double> flops_per_iteration() const override {
-    return in_invocation_ || flops_ > 0.0 ? std::optional<double>(flops_)
-                                          : std::nullopt;
-  }
-  /// 8(nk + km + nm) bytes: the three operand matrices once each.
-  [[nodiscard]] std::optional<double> bytes_per_iteration() const override {
-    return bytes_ > 0.0 ? std::optional<double>(bytes_) : std::nullopt;
-  }
-
   [[nodiscard]] const DgemmSurface& surface() const { return surface_; }
-
-  /// Predicted OI under the same traffic model the counter signatures use:
-  /// compulsory operand bytes times the L3-spill multiplier.  This is what
-  /// the pre-invocation skip calibrates against — by construction measured
-  /// and predicted OI agree exactly here.
-  [[nodiscard]] std::optional<double> analytic_intensity(
+  [[nodiscard]] InvocationModel model(
       const core::Configuration& config) const override;
 
- protected:
-  [[nodiscard]] core::Sample true_iteration() override;
-  void do_begin_invocation(const core::Configuration& config,
-                           std::uint64_t invocation_index) override;
-  void do_end_invocation() override;
-
  private:
-  /// (working_set / L3)^counter_spill_exponent once spilled, else 1.
-  [[nodiscard]] double spill_scale(double ws_bytes) const;
-
   DgemmSurface surface_;
-  std::int64_t n_ = 0, m_ = 0, k_ = 0;
-  double mean_rate_ = 0.0;   ///< GFLOP/s from the surface for current config
-  double efficiency_ = 0.0;
-  double flops_ = 0.0;
-  double bytes_ = 0.0;       ///< operand bytes per kernel call
-  std::uint64_t iteration_ = 0;
-  bool in_invocation_ = false;
 };
 
-/// Simulated TRIAD benchmark program (metric: GB/s).
+/// Simulated TRIAD benchmark program (metric: GB/s).  Runs any STREAM
+/// kernel (SimOptions::stream_kernel): bytes_per_element x N per pass, with
+/// an optional "nt" (non-temporal store) dimension.
 class SimTriadBackend final : public SimBackendBase {
  public:
   SimTriadBackend(MachineSpec machine, SimOptions options);
 
   [[nodiscard]] std::string metric_name() const override { return "GB/s"; }
-  /// flops_per_element x N — e.g. 2N for TRIAD (one FMA per element).
-  [[nodiscard]] std::optional<double> flops_per_iteration() const override {
-    return flops_ > 0.0 ? std::optional<double>(flops_) : std::nullopt;
-  }
-  /// bytes_per_element x N — e.g. 24N for TRIAD (STREAM convention).
-  [[nodiscard]] std::optional<double> bytes_per_iteration() const override {
-    return bytes_ > 0.0 ? std::optional<double>(bytes_) : std::nullopt;
-  }
-
   [[nodiscard]] const TriadSurface& surface() const { return surface_; }
-
- protected:
-  [[nodiscard]] core::Sample true_iteration() override;
-  void do_begin_invocation(const core::Configuration& config,
-                           std::uint64_t invocation_index) override;
-  void do_end_invocation() override;
+  [[nodiscard]] InvocationModel model(
+      const core::Configuration& config) const override;
 
  private:
   TriadSurface surface_;
-  double mean_rate_ = 0.0;  ///< GB/s from the surface for current config
-  double bytes_ = 0.0;      ///< bytes moved per kernel pass
-  double flops_ = 0.0;      ///< arithmetic per kernel pass
-  std::uint64_t iteration_ = 0;
-  bool in_invocation_ = false;
 };
 
 /// Simulated SpMV benchmark program (metric: GFLOP/s — padding and fill do
 /// no useful work, so the rate counts 2*nnz regardless of format).
 /// Parameters: "rows" (matrix dimension), "format" (0 = CSR, 1 = sliced
 /// ELL, 2 = BCSR), "block" (format-specific block factor; see
-/// simhw/spmv_model.hpp).
+/// simhw/spmv_model.hpp).  Traffic per pass is the format's values +
+/// indices + x/y streams; the counter model's LLC traffic is its DRAM
+/// fraction.
 class SimSpmvBackend final : public SimBackendBase {
  public:
   SimSpmvBackend(MachineSpec machine, SimOptions options);
 
   [[nodiscard]] std::string metric_name() const override { return "GFLOP/s"; }
-  /// 2*nnz useful FLOP per SpMV pass (one multiply-add per stored nonzero).
-  [[nodiscard]] std::optional<double> flops_per_iteration() const override {
-    return flops_ > 0.0 ? std::optional<double>(flops_) : std::nullopt;
-  }
-  /// Analytic format traffic per pass: values + indices + x/y streams.
-  [[nodiscard]] std::optional<double> bytes_per_iteration() const override {
-    return bytes_ > 0.0 ? std::optional<double>(bytes_) : std::nullopt;
-  }
-
   [[nodiscard]] const SpmvSurface& surface() const { return surface_; }
-
-  /// OI under the counter model's traffic: 2*nnz over format bytes times
-  /// the DRAM fraction — matching the reported LLC misses exactly, so the
-  /// counter-prune bound stays a true ceiling.
-  [[nodiscard]] std::optional<double> analytic_intensity(
+  [[nodiscard]] InvocationModel model(
       const core::Configuration& config) const override;
-
- protected:
-  [[nodiscard]] core::Sample true_iteration() override;
-  void do_begin_invocation(const core::Configuration& config,
-                           std::uint64_t invocation_index) override;
-  void do_end_invocation() override;
 
  private:
   SpmvSurface surface_;
-  double mean_rate_ = 0.0;  ///< GFLOP/s from the surface for current config
-  double flops_ = 0.0;
-  double bytes_ = 0.0;
-  std::uint64_t iteration_ = 0;
-  bool in_invocation_ = false;
 };
 
 /// Simulated 2D 5-point stencil benchmark program (metric: GFLOP/s).
 /// Parameters: "ti"/"tj" (tile height/width), "unroll" (inner unroll).
 /// The grid edge N is a benchmark-definition knob (CLI --grid-n), not a
-/// tuning parameter.
+/// tuning parameter.  6*N^2 FLOP per sweep over the tiling-dependent
+/// traffic (see simhw/stencil_model.hpp).
 class SimStencilBackend final : public SimBackendBase {
  public:
   SimStencilBackend(MachineSpec machine, SimOptions options,
                     std::int64_t grid_n = 4096);
 
   [[nodiscard]] std::string metric_name() const override { return "GFLOP/s"; }
-  /// 6*N^2 FLOP per sweep.
-  [[nodiscard]] std::optional<double> flops_per_iteration() const override {
-    return flops_ > 0.0 ? std::optional<double>(flops_) : std::nullopt;
-  }
-  /// Tiling-dependent traffic: 16 B/point compulsory plus L1/L2 spill
-  /// re-fetches (see simhw/stencil_model.hpp).
-  [[nodiscard]] std::optional<double> bytes_per_iteration() const override {
-    return bytes_ > 0.0 ? std::optional<double>(bytes_) : std::nullopt;
-  }
-
   [[nodiscard]] const StencilSurface& surface() const { return surface_; }
-
-  /// OI under the counter model's traffic: 6*N^2 over tiling bytes times
-  /// the grid's DRAM fraction.
-  [[nodiscard]] std::optional<double> analytic_intensity(
+  [[nodiscard]] InvocationModel model(
       const core::Configuration& config) const override;
-
- protected:
-  [[nodiscard]] core::Sample true_iteration() override;
-  void do_begin_invocation(const core::Configuration& config,
-                           std::uint64_t invocation_index) override;
-  void do_end_invocation() override;
 
  private:
   StencilSurface surface_;
-  double mean_rate_ = 0.0;  ///< GFLOP/s from the surface for current config
-  double flops_ = 0.0;
-  double bytes_ = 0.0;
-  std::uint64_t iteration_ = 0;
-  bool in_invocation_ = false;
 };
 
 }  // namespace rooftune::simhw

@@ -238,10 +238,15 @@ TunerOptions counter_racing_options() {
   return o;
 }
 
-std::unique_ptr<simhw::SimDgemmBackend> counter_sim() {
+simhw::SimOptions counter_sim_options() {
   simhw::SimOptions sim;
   sim.seed = 2021;
   sim.counter_model = true;
+  return sim;
+}
+
+std::unique_ptr<simhw::SimDgemmBackend> counter_sim(
+    const simhw::SimOptions& sim = counter_sim_options()) {
   return std::make_unique<simhw::SimDgemmBackend>(
       simhw::machine_by_name("gold6148"), sim);
 }
@@ -252,8 +257,9 @@ std::unique_ptr<simhw::SimDgemmBackend> counter_sim() {
 /// is final, hence the decorator.)
 class DyingSimBackend final : public Backend {
  public:
-  explicit DyingSimBackend(std::uint64_t die_after, bool park = false)
-      : inner_(counter_sim()), die_after_(die_after), park_(park) {}
+  explicit DyingSimBackend(std::uint64_t die_after, bool park = false,
+                           const simhw::SimOptions& sim = counter_sim_options())
+      : inner_(counter_sim(sim)), die_after_(die_after), park_(park) {}
 
   void begin_invocation(const Configuration& config,
                         std::uint64_t invocation_index) override {
@@ -268,8 +274,14 @@ class DyingSimBackend final : public Backend {
     return inner_->run_batch(count);
   }
   void end_invocation() override { inner_->end_invocation(); }
+  void replay_invocation(const Configuration& config) override {
+    inner_->replay_invocation(config);
+  }
   [[nodiscard]] const util::Clock& clock() const override {
     return inner_->clock();
+  }
+  [[nodiscard]] std::optional<util::ArenaStats> arena_stats() const override {
+    return inner_->arena_stats();
   }
   [[nodiscard]] std::string metric_name() const override {
     return inner_->metric_name();
@@ -400,12 +412,20 @@ TunerOptions kill_options(SearchStrategy strategy) {
   return o;
 }
 
+/// What a kill test runs: the space, the tuner options and the simulated
+/// gold6148 DGEMM backend's options.
+struct KillRun {
+  SearchSpace space = counter_space();
+  TunerOptions options;
+  simhw::SimOptions sim = counter_sim_options();
+};
+
 /// The `--json` report and the `--export` document of a run.
-std::string artifacts(const TuningRun& run, const TunerOptions& options) {
+std::string artifacts(const TuningRun& run, const KillRun& kr) {
   const std::string metric = counter_sim()->metric_name();
   return to_json(run, "dgemm", metric) + "\n" +
-         trace::write_export(trace::make_export(run, counter_space(), "dgemm",
-                                                metric, options, std::nullopt));
+         trace::write_export(trace::make_export(run, kr.space, "dgemm", metric,
+                                                kr.options, std::nullopt));
 }
 
 std::size_t line_count(const std::string& path) {
@@ -420,18 +440,18 @@ std::size_t line_count(const std::string& path) {
 /// optionally tear the last line as a kill mid-append would, then resume
 /// here.  The report and export must be byte-identical to an uninterrupted
 /// run's.
-void expect_kill_resume_identical(const std::string& path, const TunerOptions& options,
+void expect_kill_resume_identical(const std::string& path, const KillRun& kr,
                                   std::uint64_t kill_after, bool tear_last_line) {
   std::filesystem::remove(path);
-  auto reference_backend = counter_sim();
-  const TuningRun reference = Autotuner(counter_space(), options).run(*reference_backend);
+  auto reference_backend = counter_sim(kr.sim);
+  const TuningRun reference = Autotuner(kr.space, kr.options).run(*reference_backend);
   ASSERT_GT(reference.total_invocations, kill_after);
 
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
-    DyingSimBackend parked(kill_after, /*park=*/true);
-    TuningSession session(counter_space(), options, path);
+    DyingSimBackend parked(kill_after, /*park=*/true, kr.sim);
+    TuningSession session(kr.space, kr.options, path);
     static_cast<void>(session.run(parked));
     ::_exit(1);  // unreachable: the run parks before it can finish
   }
@@ -454,38 +474,66 @@ void expect_kill_resume_identical(const std::string& path, const TunerOptions& o
     ASSERT_EQ(line_count(path), kill_after);
   }
 
-  auto healthy = counter_sim();
-  TuningSession session(counter_space(), options, path);
+  auto healthy = counter_sim(kr.sim);
+  TuningSession session(kr.space, kr.options, path);
   const TuningRun resumed = session.run(*healthy);
   EXPECT_GT(session.resumed_configs(), 0u);
   EXPECT_FALSE(std::filesystem::exists(path));
-  EXPECT_EQ(artifacts(resumed, options), artifacts(reference, options));
+  // Grid-sized artifacts run to megabytes: show where they part, not both.
+  const std::string got = artifacts(resumed, kr);
+  const std::string want = artifacts(reference, kr);
+  const auto at = static_cast<std::size_t>(
+      std::mismatch(got.begin(), got.end(), want.begin(), want.end()).first -
+      got.begin());
+  const std::size_t from = at < 200 ? 0 : at - 200;
+  EXPECT_TRUE(got == want) << "artifacts differ at byte " << at << "\nresumed:   "
+                           << got.substr(from, 400) << "\nreference: "
+                           << want.substr(from, 400);
 }
 
-void expect_kills_resume_identical(const std::string& path, const TunerOptions& options) {
-  auto backend = counter_sim();
+void expect_kills_resume_identical(const std::string& path, const KillRun& kr) {
+  auto backend = counter_sim(kr.sim);
   const std::uint64_t total =
-      Autotuner(counter_space(), options).run(*backend).total_invocations;
-  expect_kill_resume_identical(path, options, total / 3, false);
-  expect_kill_resume_identical(path, options, 2 * total / 3, true);
+      Autotuner(kr.space, kr.options).run(*backend).total_invocations;
+  expect_kill_resume_identical(path, kr, total / 3, false);
+  expect_kill_resume_identical(path, kr, 2 * total / 3, true);
 }
 
 TEST_F(SessionTest, SigkilledExhaustiveRunResumesIdentically) {
-  expect_kills_resume_identical(path_, kill_options(SearchStrategy::Exhaustive));
+  expect_kills_resume_identical(path_,
+                                {.options = kill_options(SearchStrategy::Exhaustive)});
 }
 
 TEST_F(SessionTest, SigkilledRacingRunResumesIdentically) {
-  expect_kills_resume_identical(path_, kill_options(SearchStrategy::Racing));
+  expect_kills_resume_identical(path_,
+                                {.options = kill_options(SearchStrategy::Racing)});
 }
 
 TEST_F(SessionTest, SigkilledCounterPruneRacingRunResumesIdentically) {
   TunerOptions options = counter_racing_options();
   options.order = SearchOrder::Reverse;
-  expect_kills_resume_identical(path_, options);
+  expect_kills_resume_identical(path_, {.options = options});
 }
 
 TEST_F(SessionTest, SigkilledSurrogateRunResumesIdentically) {
-  expect_kills_resume_identical(path_, kill_options(SearchStrategy::Surrogate));
+  expect_kills_resume_identical(path_,
+                                {.options = kill_options(SearchStrategy::Surrogate)});
+}
+
+// `rooftune dgemm --machine gold6148 --grid-scale 4 --arena on
+// --setup-overhead 0.001 --checkpoint F`: the simulated arena's slab
+// high-water mark depends on every lease so far, so replayed invocations
+// must lease too, or the resumed run pays slab misses the uninterrupted run
+// did not and reports only the live part's arena counters.
+TEST_F(SessionTest, SigkilledArenaRunResumesIdentically) {
+  simhw::SimOptions sim;
+  sim.seed = 2021;
+  sim.grid_scale = 4;
+  sim.arena_reuse = true;
+  sim.setup_overhead_s = 0.001;
+  expect_kills_resume_identical(path_, {.space = dgemm_scaled_space(4),
+                                        .options = technique_options(Technique::CIOuter),
+                                        .sim = sim});
 }
 
 TEST_F(SessionTest, RefusesAnOlderCheckpointFormat) {
