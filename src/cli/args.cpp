@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "util/strings.hpp"
@@ -123,6 +124,24 @@ double ArgParser::get_double(const std::string& name, double fallback) const {
     throw std::invalid_argument("--" + name + ": '" + *v + "' is not a number");
   }
   return *value;
+}
+
+std::int64_t int_option(const ArgParser& parser, const std::string& name,
+                        std::int64_t fallback, std::int64_t min, std::int64_t max) {
+  const std::int64_t value = parser.get_int(name, fallback);
+  if (value < min) {
+    throw std::invalid_argument("--" + name + " must be >= " + std::to_string(min));
+  }
+  if (value > max) {
+    throw std::invalid_argument("--" + name + " must be <= " + std::to_string(max));
+  }
+  return value;
+}
+
+std::uint64_t count_option(const ArgParser& parser, const std::string& name,
+                           std::int64_t fallback) {
+  return static_cast<std::uint64_t>(int_option(
+      parser, name, fallback, 0, std::numeric_limits<std::int64_t>::max()));
 }
 
 std::string ArgParser::help() const {

@@ -61,4 +61,15 @@ class ArgParser {
   std::vector<std::string> positional_;
 };
 
+/// The integer option `name` (`fallback` when absent).  A value outside
+/// [min, max] is refused by name ("--name must be >= min") instead of
+/// wrapping or narrowing where the caller stores it.
+std::int64_t int_option(const ArgParser& parser, const std::string& name,
+                        std::int64_t fallback, std::int64_t min, std::int64_t max);
+
+/// An integer option stored in an unsigned count: int_option over
+/// [0, INT64_MAX], so a negative value never wraps to a huge cap.
+std::uint64_t count_option(const ArgParser& parser, const std::string& name,
+                           std::int64_t fallback);
+
 }  // namespace rooftune::cli

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <span>
@@ -394,15 +395,12 @@ std::optional<core::ParallelOptions> parallel_options_from(const ArgParser& pars
     return std::nullopt;
   }
   core::ParallelOptions parallel;
-  const auto workers = parser.get_int("workers", 0);
-  if (workers < 0) throw std::invalid_argument("--workers must be >= 0");
-  parallel.workers = static_cast<std::size_t>(workers);
+  parallel.workers = count_option(parser, "workers", 0);
   // The CLI only exposes the bit-reproducible schedule: journals and
   // results must not depend on the worker count.
   parallel.deterministic = true;
-  const auto lookahead = parser.get_int("lookahead", 1);
-  if (lookahead < 1) throw std::invalid_argument("--lookahead must be >= 1");
-  parallel.lookahead = static_cast<std::size_t>(lookahead);
+  parallel.lookahead = static_cast<std::size_t>(int_option(
+      parser, "lookahead", 1, 1, std::numeric_limits<std::int64_t>::max()));
   parallel.pin_workers = parser.has("pin-workers");
   parallel.sched_stats = parser.has("sched-stats");
   return parallel;
@@ -457,15 +455,6 @@ core::Technique parse_technique(const std::string& text) {
   throw std::invalid_argument("unknown technique '" + text + "'");
 }
 
-/// An integer option stored in an unsigned tuner count: a negative value
-/// is refused by name instead of wrapping to a huge cap.
-std::uint64_t count_option(const ArgParser& parser, const std::string& name,
-                           std::int64_t fallback) {
-  const std::int64_t value = parser.get_int(name, fallback);
-  if (value < 0) throw std::invalid_argument("--" + name + " must be >= 0");
-  return static_cast<std::uint64_t>(value);
-}
-
 core::TunerOptions tuner_options_from(const ArgParser& parser) {
   core::TunerOptions base;
   base.invocations = count_option(parser, "invocations", 10);
@@ -499,7 +488,8 @@ core::TunerOptions tuner_options_from(const ArgParser& parser) {
 
 simhw::SimOptions sim_options_from(const ArgParser& parser) {
   simhw::SimOptions sim;
-  sim.sockets_used = static_cast<int>(parser.get_int("sockets", 1));
+  sim.sockets_used = static_cast<int>(
+      int_option(parser, "sockets", 1, 1, std::numeric_limits<int>::max()));
   sim.seed = static_cast<std::uint64_t>(parser.get_int("seed", 2021));
   // The sim engages its arena model only when the user turns the setup-cost
   // knob or names --arena explicitly; default runs keep the legacy cost
@@ -532,9 +522,8 @@ void counter_prune_from(const ArgParser& parser, core::TunerOptions& options,
   options.counter_prune = true;
   options.counter_prune_margin =
       parser.get_double("counter-prune", options.counter_prune_margin);
-  options.counter_prune_window = static_cast<std::uint64_t>(
-      parser.get_int("counter-window", static_cast<std::int64_t>(
-                                           options.counter_prune_window)));
+  options.counter_prune_window = count_option(
+      parser, "counter-window", static_cast<std::int64_t>(options.counter_prune_window));
   options.counter_peak_gflops = machine.theoretical_flops(sockets_used).value;
   options.counter_dram_gbps =
       machine.theoretical_bandwidth(sockets_used).value;

@@ -1,6 +1,7 @@
 #include "cli/kernels.hpp"
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -24,9 +25,8 @@ void add_dgemm_options(ArgParser& parser) {
 }
 
 int grid_scale(const ArgParser& parser) {
-  const int scale = static_cast<int>(parser.get_int("grid-scale", 1));
-  if (scale < 1) throw std::invalid_argument("--grid-scale must be >= 1");
-  return scale;
+  return static_cast<int>(
+      int_option(parser, "grid-scale", 1, 1, std::numeric_limits<int>::max()));
 }
 
 core::SearchSpace dgemm_space(const ArgParser& parser) {
@@ -69,9 +69,14 @@ core::SearchSpace triad_space(const ArgParser& parser) {
   if (!parser.get("min-mib").has_value() && !parser.get("max-mib").has_value()) {
     return core::triad_space();
   }
-  return core::triad_space(
-      util::Bytes::MiB(static_cast<std::uint64_t>(parser.get_int("min-mib", 8))),
-      util::Bytes::MiB(static_cast<std::uint64_t>(parser.get_int("max-mib", 256))));
+  // A bound past kMaxMiB overflows its 64-bit byte count.
+  constexpr std::int64_t kMaxMiB = std::numeric_limits<std::uint64_t>::max() >> 20;
+  const auto mib = [&](const char* name, std::int64_t fallback) {
+    return util::Bytes::MiB(
+        static_cast<std::uint64_t>(int_option(parser, name, fallback, 0, kMaxMiB)));
+  };
+  const util::Bytes min = mib("min-mib", 8);
+  return core::triad_space(min, mib("max-mib", 256));
 }
 
 /// Also the STREAM suite's backend (cmd_stream sets sim.stream_kernel).
@@ -109,8 +114,8 @@ void add_stencil_options(ArgParser& parser) {
 KernelSpec::BackendFactory stencil_sim(const ArgParser& parser,
                                        const simhw::MachineSpec& machine,
                                        simhw::SimOptions sim) {
-  const auto grid_n = parser.get_int("grid-n", 4096);
-  if (grid_n < 8) throw std::invalid_argument("--grid-n must be >= 8");
+  const auto grid_n = int_option(parser, "grid-n", 4096, 8,
+                                 std::numeric_limits<std::int64_t>::max());
   return [machine, sim, grid_n]() -> std::unique_ptr<core::Backend> {
     return std::make_unique<simhw::SimStencilBackend>(machine, sim, grid_n);
   };

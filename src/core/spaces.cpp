@@ -73,10 +73,11 @@ SearchSpace triad_space(util::Bytes min_working_set, util::Bytes max_working_set
   // Working set = 3 vectors * 8 bytes * N; N doubles from the smallest value
   // whose working set is >= min up to the largest <= max.
   std::vector<std::int64_t> lengths;
-  for (std::int64_t n = 8;; n *= 2) {
+  // Compared by division so that bounds near 2^64 bytes cannot overflow.
+  for (std::int64_t n = 8; static_cast<std::uint64_t>(n) <= max_working_set.value / 24;
+       n *= 2) {
     const std::uint64_t ws = 24ull * static_cast<std::uint64_t>(n);
-    if (ws > max_working_set.value) break;
-    if (ws * 2 > min_working_set.value) lengths.push_back(n);  // first N with ws >= min/2
+    if (ws > min_working_set.value / 2) lengths.push_back(n);  // first N with ws >= min/2
   }
   SearchSpace space;
   space.add_range(ParameterRange("N", std::move(lengths)));

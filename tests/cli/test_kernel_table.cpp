@@ -272,6 +272,30 @@ TEST(CliOptions, TunerCountsRejectNegatives) {
       << zero.err;
 }
 
+// Integer options stored in narrower or unsigned fields are range-checked
+// by name instead of wrapping: --grid-scale 2^32+1 used to tune the grid-1
+// space, --sockets 2^32+2 ran on 2 sockets, and a negative --counter-window
+// or MiB bound became a bound near 2^64.  A MiB bound whose byte count
+// overflows 64 bits is refused too.  Every case fails while parsing.
+TEST(CliOptions, IntegerOptionsRejectOutOfRange) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"dgemm", "--grid-scale", "4294967297", "--grid-scale must be <= 2147483647"},
+      {"dgemm", "--sockets", "4294967298", "--sockets must be <= 2147483647"},
+      {"dgemm", "--sockets", "0", "--sockets must be >= 1"},
+      {"dgemm", "--counter-window", "-1", "--counter-window must be >= 0"},
+      {"stencil", "--grid-n", "4", "--grid-n must be >= 8"},
+      {"triad", "--min-mib", "-1", "--min-mib must be >= 0"},
+      {"triad", "--max-mib", "-1", "--max-mib must be >= 0"},
+      {"triad", "--max-mib", "17592186044416", "--max-mib must be <= 17592186044415"},
+      {"triad", "--min-mib", "17592186044416", "--min-mib must be <= 17592186044415"},
+  };
+  for (const auto& c : cases) {
+    const auto r = run({c[0], "--machine", "gold6148", "--counter-prune", c[1], c[2]});
+    EXPECT_EQ(r.code, 1) << c[1] << " " << c[2];
+    EXPECT_NE(r.err.find(c[3]), std::string::npos) << r.err;
+  }
+}
+
 TEST(CliOptions, KernelHelpListsItsOwnOptions) {
   const auto r = run({"dgemm", "--help"});
   EXPECT_EQ(r.code, 0) << r.err;
