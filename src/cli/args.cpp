@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "util/strings.hpp"
@@ -140,8 +139,7 @@ std::int64_t int_option(const ArgParser& parser, const std::string& name,
 
 std::uint64_t count_option(const ArgParser& parser, const std::string& name,
                            std::int64_t fallback) {
-  return static_cast<std::uint64_t>(int_option(
-      parser, name, fallback, 0, std::numeric_limits<std::int64_t>::max()));
+  return static_cast<std::uint64_t>(int_option(parser, name, fallback, 0));
 }
 
 std::string ArgParser::help() const {

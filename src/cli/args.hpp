@@ -6,6 +6,7 @@
 // positional arguments are collected in order.
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -65,10 +66,11 @@ class ArgParser {
 /// [min, max] is refused by name ("--name must be >= min") instead of
 /// wrapping or narrowing where the caller stores it.
 std::int64_t int_option(const ArgParser& parser, const std::string& name,
-                        std::int64_t fallback, std::int64_t min, std::int64_t max);
+                        std::int64_t fallback, std::int64_t min,
+                        std::int64_t max = std::numeric_limits<std::int64_t>::max());
 
-/// An integer option stored in an unsigned count: int_option over
-/// [0, INT64_MAX], so a negative value never wraps to a huge cap.
+/// An integer option stored in an unsigned count: int_option from 0, so a
+/// negative value never wraps to a huge cap.
 std::uint64_t count_option(const ArgParser& parser, const std::string& name,
                            std::int64_t fallback);
 

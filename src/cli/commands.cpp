@@ -399,8 +399,7 @@ std::optional<core::ParallelOptions> parallel_options_from(const ArgParser& pars
   // The CLI only exposes the bit-reproducible schedule: journals and
   // results must not depend on the worker count.
   parallel.deterministic = true;
-  parallel.lookahead = static_cast<std::size_t>(int_option(
-      parser, "lookahead", 1, 1, std::numeric_limits<std::int64_t>::max()));
+  parallel.lookahead = static_cast<std::size_t>(int_option(parser, "lookahead", 1, 1));
   parallel.pin_workers = parser.has("pin-workers");
   parallel.sched_stats = parser.has("sched-stats");
   return parallel;

@@ -114,8 +114,7 @@ void add_stencil_options(ArgParser& parser) {
 KernelSpec::BackendFactory stencil_sim(const ArgParser& parser,
                                        const simhw::MachineSpec& machine,
                                        simhw::SimOptions sim) {
-  const auto grid_n = int_option(parser, "grid-n", 4096, 8,
-                                 std::numeric_limits<std::int64_t>::max());
+  const auto grid_n = int_option(parser, "grid-n", 4096, 8);
   return [machine, sim, grid_n]() -> std::unique_ptr<core::Backend> {
     return std::make_unique<simhw::SimStencilBackend>(machine, sim, grid_n);
   };

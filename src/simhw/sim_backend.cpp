@@ -188,7 +188,7 @@ std::optional<core::CounterSample> SimBackendBase::last_invocation_counters()
   core::CounterSample sample;
   // Cycles: accounted kernel seconds at the nominal clock across the cores
   // in use.  LLC misses: the modelled operand traffic in 64-byte lines —
-  // compulsory bytes times the L3-spill multiplier — so the measured OI
+  // analytic bytes times the model's LLC scale — so the measured OI
   // recovers the traffic model's OI exactly.  Instructions: one
   // vector FMA per lane-group of flops plus one load/store micro-op per
   // line — enough structure that IPC separates compute-saturated kernels

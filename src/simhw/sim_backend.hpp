@@ -166,11 +166,6 @@ class SimBackendBase : public core::Backend {
  public:
   SimBackendBase(MachineSpec machine, SimOptions options);
 
-  /// The noise-free model of `config`.  Throws std::logic_error (missing
-  /// parameter, out-of-range value) for a configuration outside the model.
-  [[nodiscard]] virtual InvocationModel model(
-      const core::Configuration& config) const = 0;
-
   /// Every charge sums into per-invocation accumulators from zero, which is
   /// what makes last_invocation_timing() independent of the clock's
   /// accumulated base and therefore bit-identical across worker assignments.
@@ -235,6 +230,11 @@ class SimBackendBase : public core::Backend {
   [[nodiscard]] util::Seconds now() const { return clock_.now(); }
 
  protected:
+  /// The noise-free model of `config`.  Throws std::logic_error (missing
+  /// parameter, out-of-range value) for a configuration outside the model.
+  [[nodiscard]] virtual InvocationModel model(
+      const core::Configuration& config) const = 0;
+
   MachineSpec machine_;
   SimOptions options_;
 
@@ -286,10 +286,10 @@ class SimDgemmBackend final : public SimBackendBase {
 
   [[nodiscard]] std::string metric_name() const override { return "GFLOP/s"; }
   [[nodiscard]] const DgemmSurface& surface() const { return surface_; }
+ private:
   [[nodiscard]] InvocationModel model(
       const core::Configuration& config) const override;
 
- private:
   DgemmSurface surface_;
 };
 
@@ -302,10 +302,10 @@ class SimTriadBackend final : public SimBackendBase {
 
   [[nodiscard]] std::string metric_name() const override { return "GB/s"; }
   [[nodiscard]] const TriadSurface& surface() const { return surface_; }
+ private:
   [[nodiscard]] InvocationModel model(
       const core::Configuration& config) const override;
 
- private:
   TriadSurface surface_;
 };
 
@@ -322,10 +322,10 @@ class SimSpmvBackend final : public SimBackendBase {
 
   [[nodiscard]] std::string metric_name() const override { return "GFLOP/s"; }
   [[nodiscard]] const SpmvSurface& surface() const { return surface_; }
+ private:
   [[nodiscard]] InvocationModel model(
       const core::Configuration& config) const override;
 
- private:
   SpmvSurface surface_;
 };
 
@@ -341,10 +341,10 @@ class SimStencilBackend final : public SimBackendBase {
 
   [[nodiscard]] std::string metric_name() const override { return "GFLOP/s"; }
   [[nodiscard]] const StencilSurface& surface() const { return surface_; }
+ private:
   [[nodiscard]] InvocationModel model(
       const core::Configuration& config) const override;
 
- private:
   StencilSurface surface_;
 };
 

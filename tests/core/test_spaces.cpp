@@ -121,6 +121,16 @@ TEST(TriadSpace, CustomRange) {
   EXPECT_EQ(triad_working_set(configs[2]).value, util::Bytes::KiB(96).value);
 }
 
+// A bound near 2^64 bytes (`--max-mib 17592186044415`) ends the sweep at
+// the largest doubling whose working set fits, instead of overflowing.
+TEST(TriadSpace, BoundNearTwoToThe64Ends) {
+  const auto configs =
+      triad_space(util::Bytes{0}, util::Bytes::MiB(17592186044415ull)).enumerate();
+  ASSERT_EQ(configs.size(), 57u);  // 2^3 .. 2^59 elements
+  EXPECT_EQ(configs.front().at("N"), 8);
+  EXPECT_EQ(configs.back().at("N"), std::int64_t{1} << 59);
+}
+
 TEST(TriadSpace, WorkingSetFormula) {
   // 3 vectors of doubles: 24 bytes per element (§III-B).
   EXPECT_EQ(triad_working_set(triad_config(1000)).value, 24000u);
