@@ -6,8 +6,11 @@
 #include <chrono>
 #include <thread>
 
+#include "core/autotuner.hpp"
 #include "core/eval_pool.hpp"
+#include "core/report.hpp"
 #include "trace/journal.hpp"
+#include "trace/profile_export.hpp"
 #include "trace/reader.hpp"
 
 namespace rooftune::core {
@@ -119,6 +122,51 @@ TEST(SchedulerStatsTest, JournalOmitsSchedulerRecordByDefault) {
   journal.finish_run({});
   const trace::Journal parsed = trace::read_journal(journal.str());
   EXPECT_FALSE(parsed.scheduler.has_value());
+}
+
+/// The text from `key` up to its object's closing brace.
+std::string object_at(const std::string& text, const std::string& key) {
+  const auto begin = text.find(key);
+  if (begin == std::string::npos) return "<" + key + " missing>";
+  return text.substr(begin, text.find('}', begin) + 1 - begin);
+}
+
+// The three writers of one SchedulerStats: the journal's scheduler record,
+// the --json report's "scheduler" object and the profile's metadata.
+// The journal and the report end with idle_fraction; the profile does not.
+TEST(SchedulerStatsTest, WritersKeepTheirLayouts) {
+  SchedulerStats stats;
+  stats.mode = "pipeline";
+  stats.workers = 4;
+  stats.lookahead = 2;
+  stats.tasks = 100;
+  stats.steals = 0;
+  stats.parks = 7;
+  stats.idle_ns = 1000;
+  stats.busy_ns = 5000;
+  stats.commit_wait_ns = 300;
+  stats.span_ns = 2000;
+  const std::string fields =
+      R"("mode":"pipeline","workers":4,"lookahead":2,"tasks":100,"steals":0,)"
+      R"("parks":7,"idle_ns":1000,"busy_ns":5000,"commit_wait_ns":300,"span_ns":2000)";
+
+  trace::TraceJournal journal;
+  journal.begin_run({"dgemm", "GFLOP/s", "racing"});
+  trace::RunSummary summary;
+  summary.scheduler = stats;
+  journal.finish_run(summary);
+  EXPECT_EQ(object_at(journal.str(), R"({"t":"scheduler")"),
+            R"({"t":"scheduler",)" + fields + R"(,"idle_fraction":0.125})");
+
+  TuningRun run;
+  run.sched = stats;
+  EXPECT_EQ(object_at(to_json(run, "dgemm", "GFLOP/s"), R"("scheduler":)"),
+            R"("scheduler":{)" + fields + R"(,"idle_fraction":0.125})");
+
+  trace::ProfileMetadata meta;
+  meta.sched = stats;
+  EXPECT_EQ(object_at(trace::write_profile_json({}, meta), R"("sched":)"),
+            R"("sched":{)" + fields + "}");
 }
 
 }  // namespace

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/autotuner.hpp"
 #include "core/spaces.hpp"
@@ -271,6 +274,92 @@ TEST(Export, ReplayFlagsTamperedValues) {
   EXPECT_EQ(outcome.value_mismatches, 1u);
   EXPECT_NE(outcome.first_mismatch.find("n=1"), std::string::npos)
       << outcome.first_mismatch;
+}
+
+/// One recorded invocation of a hand-built replay document.
+struct Recorded {
+  double mean;
+  std::uint64_t iterations;
+  const char* stop;
+};
+
+/// A two-configuration document over n in {1, 2}: `first` and `second`
+/// are the recorded invocations, `values` the recorded aggregates.
+ExportDocument replay_document(std::vector<Recorded> first,
+                               std::vector<Recorded> second, double value0,
+                               double value1, std::optional<std::size_t> best) {
+  ExportDocument doc = golden_document();
+  const std::vector<Recorded>* records[] = {&first, &second};
+  const double values[] = {value0, value1};
+  for (std::size_t i = 0; i < 2; ++i) {
+    ExportConfigResult& r = doc.results[i];
+    r.value = values[i];
+    r.invocations.clear();
+    for (const Recorded& rec : *records[i]) {
+      ExportInvocation inv;
+      inv.mean = rec.mean;
+      inv.iterations = rec.iterations;
+      inv.stop = rec.stop;
+      inv.kernel_s = 0.25;
+      r.invocations.push_back(inv);
+    }
+  }
+  doc.best_index = best;
+  return doc;
+}
+
+// Every ReplayOutcome field, pinned per path through the replay: the
+// pruned-invocation exclusion of ConfigResult::value() and its fallback,
+// the zero-iteration refusal, tampering with a value or the optimum, the
+// first-strictly-greater incumbent rule and an empty document.
+TEST(Export, ReplayOutcomesArePinned) {
+  const Recorded full{10.5, 4, "max-count"};
+  const Recorded best{12.25, 4, "max-count"};
+  struct Case {
+    const char* name;
+    ExportDocument doc;
+    ReplayOutcome want;
+  };
+  ExportDocument empty = golden_document();
+  empty.results.clear();
+  empty.best_index.reset();
+  const std::vector<Case> cases = {
+      {"clean", golden_document(), {2, 0, 1, 12.25, true, true, ""}},
+      {"every invocation pruned",
+       replay_document({{9.0, 4, "pruned-by-best"}, {10.0, 2, "pruned-by-best"}},
+                       {best, best}, 9.5, 12.25, 1),
+       {2, 0, 1, 12.25, true, true, ""}},
+      {"one pruned invocation excluded",
+       replay_document({{10.0, 4, "max-count"}, {11.0, 4, "max-count"},
+                        {2.0, 1, "pruned-by-best"}},
+                       {best, best}, 10.5, 12.25, 1),
+       {2, 0, 1, 12.25, true, true, ""}},
+      {"zero iterations",
+       replay_document({full, {10.5, 0, "max-count"}}, {best, best}, 10.5, 12.25, 1),
+       {1, 1, 1, 12.25, true, true, "n=1 invocation 1 records zero iterations"}},
+      {"tampered value",
+       replay_document({full, full}, {best, best}, 11.5, 12.25, 1),
+       {2, 1, 1, 12.25, true, true, "n=1: replayed 10.5 != recorded 11.5"}},
+      {"tampered best index",
+       replay_document({full, full}, {best, best}, 10.5, 12.25, 0),
+       {2, 0, 1, 12.25, false, false, "replayed optimum index 1 != recorded 0"}},
+      {"tie keeps the first",
+       replay_document({best, best}, {best, best}, 12.25, 12.25, 0),
+       {2, 0, 0, 12.25, true, true, ""}},
+      {"empty results", empty, {0, 0, std::nullopt, 0.0, true, true, ""}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ReplayOutcome got = replay_export(c.doc);
+    EXPECT_EQ(got.configs, c.want.configs);
+    EXPECT_EQ(got.value_mismatches, c.want.value_mismatches);
+    EXPECT_EQ(got.replayed_best_index, c.want.replayed_best_index);
+    EXPECT_EQ(got.replayed_best_value, c.want.replayed_best_value);
+    EXPECT_EQ(got.best_index_matches, c.want.best_index_matches);
+    EXPECT_EQ(got.best_value_matches, c.want.best_value_matches);
+    EXPECT_EQ(got.first_mismatch, c.want.first_mismatch);
+    EXPECT_EQ(got.ok(), c.want.ok());
+  }
 }
 
 TEST(JournalReader, RejectsNewerSchemaVersionWithDistinctError) {
