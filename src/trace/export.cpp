@@ -1,5 +1,6 @@
 #include "trace/export.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -8,8 +9,6 @@
 #include <utility>
 
 #include "core/stop_condition.hpp"
-#include "stats/welford.hpp"
-#include "util/clock.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
 #include "util/strings.hpp"
@@ -22,21 +21,6 @@ std::string fmt17(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
-}
-
-/// ConfigResult::value() over export records: Welford mean of invocation
-/// means excluding pruned-by-best invocations, falling back to the mean
-/// over all of them when every invocation was pruned.
-double recompute_value(const std::vector<ExportInvocation>& invocations) {
-  stats::OnlineMoments completed;
-  stats::OnlineMoments all;
-  for (const auto& inv : invocations) {
-    all.add(inv.mean);
-    if (inv.stop != core::to_string(core::StopReason::PrunedByBest)) {
-      completed.add(inv.mean);
-    }
-  }
-  return completed.count() > 0 ? completed.mean() : all.mean();
 }
 
 void write_config(util::JsonWriter& w, const core::Configuration& config) {
@@ -75,111 +59,63 @@ std::string validated_stop(const util::JsonValue& v, const char* where) {
   return std::string(text);
 }
 
-/// Rebuild a Configuration with parameters in search-space range order —
-/// the order write_export emits, which is what makes a parse → re-export
-/// cycle byte-identical (objects parse into sorted key order).
-core::Configuration config_from(const util::JsonValue& obj,
+/// Rebuild `config` with its parameters in search-space range order (the
+/// order write_export emits: JSON objects and journal configurations arrive
+/// in sorted key order, so without this a parse → re-export cycle would not
+/// be byte-identical) and require it to be a point of the space.  Throws
+/// std::invalid_argument naming a missing or extra parameter, a value
+/// outside its range, or the constraint it violates.
+core::Configuration space_point(const core::Configuration& config,
+                                const core::SearchSpace& space) {
+  (void)space.index_of(config);
+  if (config.size() != space.ranges().size()) {
+    throw std::invalid_argument("configuration " + config.to_string() +
+                                " has parameters outside the space definition");
+  }
+  std::vector<core::Parameter> params;
+  params.reserve(space.ranges().size());
+  for (const auto& range : space.ranges()) {
+    params.push_back({range.name(), config.at(range.name())});
+  }
+  core::Configuration point(std::move(params));
+  space.require_admissible(point);
+  return point;
+}
+
+/// space_point over a JSON config object; a refusal names the object's
+/// line and column.
+core::Configuration space_point(const util::JsonValue& obj,
                                 const core::SearchSpace& space) {
   std::vector<core::Parameter> params;
   params.reserve(space.ranges().size());
-  for (const auto& range : space.ranges()) {
-    if (!obj.has(range.name())) {
-      throw std::runtime_error("export: config record is missing parameter '" +
-                               range.name() + "'");
-    }
-    params.push_back({range.name(), obj.at(range.name()).as_int()});
+  for (const auto& [name, value] : obj.as_object()) {
+    params.push_back({name, value.as_int()});
   }
-  if (obj.size() != params.size()) {
-    throw std::runtime_error(
-        "export: config record has parameters outside the space definition");
+  try {
+    return space_point(core::Configuration(std::move(params)), space);
+  } catch (const std::invalid_argument& e) {
+    obj.fail(e.what());
   }
-  return core::Configuration(std::move(params));
 }
 
-/// Reorder a configuration's parameters into search-space range order — the
-/// order write_export emits.  Journal configs arrive alphabetized (the
-/// reader walks a JSON object), so without this a journal-sourced document
-/// would not re-export byte-identically after a parse.
-core::Configuration normalized_config(const core::Configuration& config,
-                                      const core::SearchSpace& space) {
-  std::vector<core::Parameter> params;
-  params.reserve(space.ranges().size());
-  for (const auto& range : space.ranges()) {
-    if (!config.has(range.name())) {
-      throw std::runtime_error(
-          "export: journal configuration " + config.to_string() +
-          " is missing space parameter '" + range.name() + "'");
-    }
-    params.push_back({range.name(), config.at(range.name())});
+/// A recorded configuration as the tuner's own ConfigResult: each
+/// invocation's moments hold its recorded mean (Welford over one sample
+/// returns that sample exactly) under its recorded stop reason, so
+/// ConfigResult::value() re-derives the aggregate bit-identically.
+core::ConfigResult rebuild(const ExportConfigResult& recorded) {
+  core::ConfigResult result;
+  result.config = recorded.config;
+  result.invocations.reserve(recorded.invocations.size());
+  for (const ExportInvocation& inv : recorded.invocations) {
+    core::InvocationResult invocation;
+    invocation.moments.add(inv.mean);
+    invocation.iterations = inv.iterations;
+    invocation.stop_reason = *core::stop_reason_from_string(inv.stop);
+    result.outer_moments.add(inv.mean);
+    result.invocations.push_back(std::move(invocation));
   }
-  if (config.parameters().size() != params.size()) {
-    throw std::runtime_error("export: journal configuration " +
-                             config.to_string() +
-                             " has parameters outside the space definition");
-  }
-  return core::Configuration(std::move(params));
+  return result;
 }
-
-/// The autotuner's incumbent rule: first configuration (in visit order)
-/// whose value strictly exceeds every earlier one.
-std::optional<std::size_t> best_of(
-    const std::vector<ExportConfigResult>& results) {
-  std::optional<std::size_t> best;
-  std::optional<double> incumbent;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!incumbent.has_value() || results[i].value > *incumbent) {
-      incumbent = results[i].value;
-      best = i;
-    }
-  }
-  return best;
-}
-
-/// Mock backend replaying recorded per-invocation means: every iteration of
-/// invocation j returns that invocation's recorded mean, so the evaluator's
-/// Welford pass recovers the mean exactly (constant-input Welford is exact).
-class ReplayBackend final : public core::Backend {
- public:
-  explicit ReplayBackend(const ExportDocument& doc) : doc_(doc) {
-    for (const auto& r : doc.results) by_config_.emplace(r.config, &r);
-  }
-
-  void begin_invocation(const core::Configuration& config,
-                        std::uint64_t invocation_index) override {
-    const auto it = by_config_.find(config);
-    if (it == by_config_.end()) {
-      throw std::runtime_error("replay: unknown configuration " +
-                               config.to_string());
-    }
-    const auto& invocations = it->second->invocations;
-    if (invocation_index >= invocations.size()) {
-      throw std::runtime_error("replay: invocation index out of range for " +
-                               config.to_string());
-    }
-    const ExportInvocation& inv = invocations[invocation_index];
-    mean_ = inv.mean;
-    iteration_s_ = inv.iterations > 0
-                       ? inv.kernel_s / static_cast<double>(inv.iterations)
-                       : 0.0;
-  }
-
-  core::Sample run_iteration() override {
-    clock_.advance(util::Seconds{iteration_s_});
-    return {mean_, util::Seconds{iteration_s_}};
-  }
-
-  void end_invocation() override {}
-  [[nodiscard]] const util::Clock& clock() const override { return clock_; }
-  [[nodiscard]] bool reentrant() const override { return true; }
-  [[nodiscard]] std::string metric_name() const override { return doc_.metric; }
-
- private:
-  const ExportDocument& doc_;
-  std::map<core::Configuration, const ExportConfigResult*> by_config_;
-  util::VirtualClock clock_;
-  double mean_ = 0.0;
-  double iteration_s_ = 0.0;
-};
 
 }  // namespace
 
@@ -248,13 +184,19 @@ ExportDocument export_from_journal(const Journal& journal,
   // interleaving strategies (racing) spread one config across epochs, so
   // membership is keyed by ordinal, not position.
   std::map<std::uint64_t, std::vector<const core::TraceEvent*>> invocations;
+  core::TuningRun rescored;
   for (const auto& record : journal.records) {
     const core::TraceEvent& e = record.event;
     if (e.kind == core::TraceEvent::Kind::Invocation) {
       invocations[e.config_ordinal].push_back(&e);
     } else if (e.kind == core::TraceEvent::Kind::ConfigDone) {
       ExportConfigResult r;
-      r.config = normalized_config(e.config, doc.space);
+      try {
+        r.config = space_point(e.config, doc.space);
+      } catch (const std::invalid_argument& error) {
+        throw std::runtime_error("export: journal configuration outside the search space: " +
+                                 std::string(error.what()));
+      }
       r.pruned = e.pruned;
       r.stop = core::to_string(e.reason);
       r.iterations = e.iterations;
@@ -283,7 +225,8 @@ ExportDocument export_from_journal(const Journal& journal,
       // aggregate is recomputed from the stored invocation means — keeping
       // the document internally consistent (bit-identical replay against
       // itself).  The recorded value bounds the rounding drift.
-      r.value = recompute_value(r.invocations);
+      core::ConfigResult result = rebuild(r);
+      r.value = result.value();
       const double tolerance = 1e-6 * std::max(1.0, std::fabs(e.value));
       if (std::fabs(r.value - e.value) > tolerance) {
         throw std::runtime_error(
@@ -291,10 +234,11 @@ ExportDocument export_from_journal(const Journal& journal,
             r.config.to_string() + " disagrees with the journal's " +
             fmt17(e.value) + " beyond rounding error");
       }
+      rescored.add(std::move(result));
       doc.results.push_back(std::move(r));
     }
   }
-  doc.best_index = best_of(doc.results);
+  doc.best_index = rescored.best_index;
   return doc;
 }
 
@@ -462,7 +406,7 @@ ExportDocument read_export(const util::JsonValue& root) {
 
   for (const util::JsonValue& rv : root.at("results").as_array()) {
     ExportConfigResult r;
-    r.config = config_from(rv.at("config"), doc.space);
+    r.config = space_point(rv.at("config"), doc.space);
     r.value = rv.at("value").as_number();
     r.pruned = rv.at("pruned").as_bool();
     r.stop = validated_stop(rv.at("stop"), "a result record");
@@ -487,12 +431,12 @@ ExportDocument read_export(const util::JsonValue& root) {
     const util::JsonValue best = root.at("best");
     const std::uint64_t index = best.at("index").as_u64();
     if (index >= doc.results.size()) {
-      throw std::runtime_error("export: best.index " + std::to_string(index) +
-                               " is out of range");
+      best.at("index").fail("best.index " + std::to_string(index) +
+                            " is out of range (" + std::to_string(doc.results.size()) +
+                            " results)");
     }
-    if (config_from(best.at("config"), doc.space) != doc.results[index].config) {
-      throw std::runtime_error(
-          "export: best.config does not match results[best.index].config");
+    if (space_point(best.at("config"), doc.space) != doc.results[index].config) {
+      best.at("config").fail("best.config does not match results[best.index].config");
     }
     doc.best_index = index;
   }
@@ -526,44 +470,23 @@ ExportDocument parse_export_file(const std::string& path) {
 
 ReplayOutcome replay_export(const ExportDocument& doc) {
   ReplayOutcome outcome;
-  ReplayBackend backend(doc);
-  std::optional<double> incumbent;
-  std::optional<std::size_t> best;
-
+  core::TuningRun run;
+  std::vector<std::size_t> recorded_index;  // of each run.results entry
   for (std::size_t i = 0; i < doc.results.size(); ++i) {
     const ExportConfigResult& r = doc.results[i];
-    core::ConfigResult replayed;
-    replayed.config = r.config;
-    bool usable = true;
-    for (std::size_t j = 0; j < r.invocations.size(); ++j) {
-      const ExportInvocation& inv = r.invocations[j];
-      if (inv.iterations == 0) {
-        usable = false;
-        if (outcome.first_mismatch.empty()) {
-          outcome.first_mismatch = r.config.to_string() + " invocation " +
-                                   std::to_string(j) +
-                                   " records zero iterations";
-        }
-        break;
-      }
-      core::TunerOptions options;  // defaults: no CI stop, no pruning
-      options.invocations = r.invocations.size();
-      options.iterations = inv.iterations;
-      options.timeout = util::Seconds{1e18};
-      core::InvocationResult result = core::run_invocation(
-          backend, r.config, j, options, /*incumbent=*/std::nullopt);
-      // The recorded stop reason decides the pruned-invocation exclusion in
-      // ConfigResult::value(); the replay itself always stops at MaxCount.
-      result.stop_reason = *core::stop_reason_from_string(inv.stop);
-      replayed.outer_moments.add(result.mean());
-      replayed.invocations.push_back(std::move(result));
-    }
-    if (!usable) {
+    const auto zero = std::find_if(r.invocations.begin(), r.invocations.end(),
+                                   [](const ExportInvocation& inv) { return inv.iterations == 0; });
+    if (zero != r.invocations.end()) {
       ++outcome.value_mismatches;
+      if (outcome.first_mismatch.empty()) {
+        outcome.first_mismatch = r.config.to_string() + " invocation " +
+                                 std::to_string(zero - r.invocations.begin()) +
+                                 " records zero iterations";
+      }
       continue;
     }
-    ++outcome.configs;
-    const double value = replayed.value();
+    core::ConfigResult result = rebuild(r);
+    const double value = result.value();
     if (value != r.value) {
       ++outcome.value_mismatches;
       if (outcome.first_mismatch.empty()) {
@@ -572,21 +495,22 @@ ReplayOutcome replay_export(const ExportDocument& doc) {
                                  fmt17(r.value);
       }
     }
-    if (!incumbent.has_value() || value > *incumbent) {
-      incumbent = value;
-      best = i;
-    }
+    run.add(std::move(result));
+    recorded_index.push_back(i);
   }
 
-  outcome.replayed_best_index = best;
-  outcome.replayed_best_value = incumbent.value_or(0.0);
-  outcome.best_index_matches = best == doc.best_index;
-  if (best.has_value() && doc.best_index.has_value()) {
-    outcome.best_value_matches =
-        outcome.replayed_best_value == doc.results[*doc.best_index].value;
-  } else {
-    outcome.best_value_matches = best == doc.best_index;
+  outcome.configs = run.results.size();
+  std::optional<std::size_t> best;
+  if (run.best_index.has_value()) {
+    best = recorded_index[*run.best_index];
+    outcome.replayed_best_value = run.best_value();
   }
+  outcome.replayed_best_index = best;
+  outcome.best_index_matches = best == doc.best_index;
+  outcome.best_value_matches =
+      best.has_value() && doc.best_index.has_value()
+          ? outcome.replayed_best_value == doc.results[*doc.best_index].value
+          : outcome.best_index_matches;
   if (outcome.first_mismatch.empty() && !outcome.best_index_matches) {
     outcome.first_mismatch =
         "replayed optimum index " +

@@ -15,11 +15,12 @@
 // Two writers share the format: make_export() serializes a live TuningRun;
 // export_from_journal() reconstructs the same document from a trace
 // journal (the journal's invocation records carry every field the export
-// needs).  parse_export() + replay_export() close the loop: a mock backend
-// replays the recorded per-invocation means through the real evaluator
-// machinery and checks that every configuration's aggregate value — and
-// the optimum — reproduce bit-identically (Welford over the same sample
-// sequence is exact; doubles are serialized round-trip-exactly at %.17g).
+// needs).  parse_export() + replay_export() close the loop: every recorded
+// configuration is rebuilt as the tuner's own core::ConfigResult and
+// reduced with core::TuningRun::add, which checks that every aggregate
+// value — and the optimum — reproduce bit-identically (Welford over one
+// recorded mean returns it exactly; doubles are serialized
+// round-trip-exactly at %.17g).
 //
 // Determinism guarantees (docs/formats.md §Determinism):
 //   * write_export is a pure function of its inputs — no timestamps,
@@ -109,12 +110,14 @@ struct ExportDocument {
 /// Reconstruct an export from a parsed trace journal.  The journal does not
 /// carry the space definition, so the caller supplies it (the CLI resolves
 /// the standard space from the journal's benchmark name).  Configuration
-/// values and the optimum are recomputed from the per-invocation records —
+/// values and the optimum are recomputed from the per-invocation records
+/// the way replay_export() re-scores them —
 /// the journal rounds doubles to 12 significant digits, so recomputing
 /// keeps the document internally consistent (replayable bit-identically
-/// against itself).  Throws std::runtime_error when a recomputed value
-/// strays from the journal's recorded one by more than rounding error, or
-/// when invocation records are missing.
+/// against itself).  Throws std::runtime_error when a configuration is not
+/// a point of `space`, when a recomputed value strays from the journal's
+/// recorded one by more than rounding error, or when invocation records
+/// are missing.
 [[nodiscard]] ExportDocument export_from_journal(const Journal& journal,
                                                  core::SearchSpace space);
 
@@ -123,7 +126,9 @@ struct ExportDocument {
 
 /// Parse an export document.  Throws std::runtime_error — with a distinct
 /// "schema version N ... newer than ... M" message when the document comes
-/// from a newer writer — on malformed or unsupported input.
+/// from a newer writer — on malformed or unsupported input.  A well-formed
+/// document is refused, with the offending value's line and column, when a
+/// configuration is not a point of its space or `best` names no result.
 [[nodiscard]] ExportDocument parse_export(const std::string& text);
 
 /// write_export to / parse_export from a file.  Throws std::runtime_error
@@ -131,7 +136,7 @@ struct ExportDocument {
 void write_export_file(const std::string& path, const ExportDocument& doc);
 [[nodiscard]] ExportDocument parse_export_file(const std::string& path);
 
-/// Outcome of replaying an export against the mock backend.
+/// Outcome of re-scoring an export's recorded samples.
 struct ReplayOutcome {
   std::size_t configs = 0;            ///< configurations replayed
   std::size_t value_mismatches = 0;   ///< re-scored value != recorded (exact)
@@ -146,12 +151,14 @@ struct ReplayOutcome {
   }
 };
 
-/// Re-score the exported space against a mock backend that replays the
-/// recorded per-invocation means through core::run_invocation, re-deriving
-/// every configuration's aggregate (including the pruned-invocation
-/// exclusion of ConfigResult::value()) and the optimum under the
-/// autotuner's first-strictly-greater incumbent rule.  All comparisons are
-/// exact (bitwise) double equality.
+/// Re-score the exported space: rebuild every configuration as a
+/// core::ConfigResult whose invocations hold the recorded means and stop
+/// reasons, and reduce them with core::TuningRun::add.  Every aggregate
+/// (with the pruned-invocation exclusion of ConfigResult::value()) and the
+/// optimum (TuningRun's first-strictly-greater incumbent rule) are
+/// re-derived by the tuner's own code.  A configuration with a
+/// zero-iteration invocation is counted as a mismatch and not re-scored.
+/// All comparisons are exact (bitwise) double equality.
 [[nodiscard]] ReplayOutcome replay_export(const ExportDocument& doc);
 
 }  // namespace rooftune::trace

@@ -126,6 +126,47 @@ TEST_F(ExportCliTest, ExportCommandReconstructsFromJournal) {
       << imported.out;
 }
 
+// A journal of a --grid-scale run holds configurations outside the
+// standard space that `export --journal` assumes: the export is refused,
+// naming the value and its range, instead of written wrong.  An export
+// edited to leave its space, or to point `best` past its results, is
+// refused on import.
+TEST_F(ExportCliTest, ConfigurationsOutsideTheSpaceAreRefused) {
+  const std::string journal = path(".jsonl");
+  const std::string exported = path(".json");
+  const std::vector<std::string> quick = {"--machine", "gold6148", "--invocations", "1",
+                                          "--iterations", "2"};
+  std::vector<std::string> tune = {"dgemm", "--grid-scale", "2", "--trace", journal};
+  tune.insert(tune.end(), quick.begin(), quick.end());
+  ASSERT_EQ(run(tune).code, 0);
+  const auto refused = run({"export", "--journal", journal, "-o", exported});
+  EXPECT_EQ(refused.code, 1);
+  EXPECT_NE(refused.err.find("outside the search space"), std::string::npos) << refused.err;
+  EXPECT_NE(refused.err.find("value 91 not in range 'k'"), std::string::npos) << refused.err;
+  EXPECT_FALSE(std::filesystem::exists(exported));
+
+  tune = {"dgemm", "--export", exported};
+  tune.insert(tune.end(), quick.begin(), quick.end());
+  ASSERT_EQ(run(tune).code, 0);
+  const std::string text = read_file(exported);
+  const struct {
+    std::string from, to, reason;
+  } edits[] = {
+      {"\"k\":64}", "\"k\":407}", "value 407 not in range 'k'"},
+      {"\"best\":{\"index\":", "\"best\":{\"index\":85", "best.index 8"},
+  };
+  for (const auto& edit : edits) {
+    const std::string edited = path(".edited.json");
+    std::string changed = text;
+    changed.replace(changed.find(edit.from), edit.from.size(), edit.to);
+    std::ofstream(edited) << changed;
+    const auto r = run({"import", edited, "--replay"});
+    EXPECT_EQ(r.code, 1) << edit.to;
+    EXPECT_NE(r.err.find(edit.reason), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find("(line 1, column "), std::string::npos) << r.err;
+  }
+}
+
 TEST_F(ExportCliTest, ImportRejectsNewerSchemaVersion) {
   const std::string exported = path(".json");
   {

@@ -264,6 +264,65 @@ TEST(Export, UnknownStopReasonReportsLineAndColumn) {
   }
 }
 
+// Every refusal of a well-formed document names the offending value's line
+// and column: a configuration that is not a point of its space (value out
+// of range, missing or extra parameter, violated constraint) and a `best`
+// that names no result or another configuration.
+TEST(Export, SpaceRefusalsReportLineAndColumn) {
+  ExportDocument doc = golden_document();
+  doc.space = core::SearchSpace();
+  doc.space.add_range(core::ParameterRange("n", {1, 2}));
+  doc.space.add_range(core::ParameterRange("m", {1, 2}));
+  doc.space.add_constraint(core::ConstraintSpec{"m", core::ConstraintSpec::Op::Le, "n", 0});
+  doc.results[0].config = core::Configuration({{"n", 1}, {"m", 1}});
+  doc.results[1].config = core::Configuration({{"n", 2}, {"m", 1}});
+  std::string base = write_export(doc);
+  base.replace(base.find("\"results\":["), 11, "\"results\":\n[");
+  ASSERT_EQ(write_export(parse_export(base)), write_export(doc));
+
+  struct Row {
+    const char* name;
+    std::string from;    // first occurrence is replaced ...
+    std::string to;      // ... by this
+    std::size_t at;      // offset in `to` of the refused value
+    std::string reason;  // expected in the message
+  };
+  const std::vector<Row> rows = {
+      {"value out of range", R"("config":{"n":2,"m":1})", R"("config":{"n":3,"m":1})", 9,
+       "value 3 not in range 'n'"},
+      {"missing parameter", R"("config":{"n":2,"m":1})", R"("config":{"n":2})", 9,
+       "parameter 'm' missing"},
+      {"extra parameter", R"("config":{"n":2,"m":1})", R"("config":{"n":2,"m":1,"x":5})", 9,
+       "has parameters outside the space definition"},
+      {"constraint violation", R"("config":{"n":1,"m":1})", R"("config":{"n":1,"m":2})", 9,
+       "constraint 'm<=n' rejects"},
+      {"best index out of range", R"("best":{"index":1)", R"("best":{"index":85)", 16,
+       "best.index 85 is out of range"},
+      {"best config mismatch", R"("best":{"index":1,"config":)", R"("best":{"index":0,"config":)",
+       27, "best.config does not match results[best.index].config"},
+      {"best config outside the space", R"("best":{"index":1,"config":{"n":2,)",
+       R"("best":{"index":1,"config":{"n":7,)", 27, "value 7 not in range 'n'"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    std::string text = base;
+    const auto pos = text.find(row.from);
+    ASSERT_NE(pos, std::string::npos);
+    text.replace(pos, row.from.size(), row.to);
+    const std::size_t value_at = pos + row.at;
+    const std::size_t column = value_at - text.rfind('\n', value_at);
+    try {
+      (void)parse_export(text);
+      ADD_FAILURE() << "expected parse_export to throw";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(row.reason), std::string::npos) << what;
+      EXPECT_NE(what.find("(line 2, column " + std::to_string(column) + ")"), std::string::npos)
+          << what;
+    }
+  }
+}
+
 TEST(Export, ReplayFlagsTamperedValues) {
   std::string tampered = kGoldenV1;
   const auto pos = tampered.find("\"value\":10.5");
