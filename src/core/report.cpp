@@ -40,16 +40,7 @@ std::string to_json(const TuningRun& run, const std::string& benchmark_name,
   if (run.sched.has_value()) {
     const SchedulerStats& s = *run.sched;
     w.key("scheduler").begin_object();
-    w.key("mode").value(s.mode);
-    w.key("workers").value(s.workers);
-    w.key("lookahead").value(s.lookahead);
-    w.key("tasks").value(s.tasks);
-    w.key("steals").value(s.steals);
-    w.key("parks").value(s.parks);
-    w.key("idle_ns").value(s.idle_ns);
-    w.key("busy_ns").value(s.busy_ns);
-    w.key("commit_wait_ns").value(s.commit_wait_ns);
-    w.key("span_ns").value(s.span_ns);
+    s.write_fields(w);
     w.key("idle_fraction").value(s.idle_fraction());
     w.end_object();
   } else {

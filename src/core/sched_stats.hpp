@@ -12,6 +12,11 @@
 #include <cstdint>
 #include <string>
 
+namespace rooftune::util {
+class JsonWriter;
+class JsonValue;
+}  // namespace rooftune::util
+
 namespace rooftune::core {
 
 struct SchedulerStats {
@@ -33,6 +38,15 @@ struct SchedulerStats {
         static_cast<double>(workers) * static_cast<double>(span_ns);
     return denom > 0.0 ? static_cast<double>(idle_ns) / denom : 0.0;
   }
+
+  /// Append every field above, mode through span_ns, as keys of the object
+  /// `w` is writing: the journal's scheduler record, the --json report's
+  /// "scheduler" object and the profile's "sched" metadata.
+  void write_fields(util::JsonWriter& w) const;
+
+  /// The inverse of write_fields over a parsed object (extra keys such as
+  /// idle_fraction are ignored).  Throws on a missing or mistyped field.
+  [[nodiscard]] static SchedulerStats read_fields(const util::JsonValue& object);
 };
 
 }  // namespace rooftune::core

@@ -399,16 +399,7 @@ std::string TraceJournal::str() const {
     const core::SchedulerStats& s = *summary_->scheduler;
     w.begin_object();
     w.key("t").value("scheduler");
-    w.key("mode").value(s.mode);
-    w.key("workers").value(s.workers);
-    w.key("lookahead").value(s.lookahead);
-    w.key("tasks").value(s.tasks);
-    w.key("steals").value(s.steals);
-    w.key("parks").value(s.parks);
-    w.key("idle_ns").value(s.idle_ns);
-    w.key("busy_ns").value(s.busy_ns);
-    w.key("commit_wait_ns").value(s.commit_wait_ns);
-    w.key("span_ns").value(s.span_ns);
+    s.write_fields(w);
     w.key("idle_fraction").value(s.idle_fraction());
     w.end_object();
     w.line_break();

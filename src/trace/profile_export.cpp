@@ -120,18 +120,8 @@ std::string write_profile_json(const util::ProfileSnapshot& snapshot,
     w.key("setup_s_sum").value_exact(meta.setup_s_sum);
   }
   if (meta.sched.has_value()) {
-    const core::SchedulerStats& s = *meta.sched;
     w.key("sched").begin_object();
-    w.key("mode").value(s.mode);
-    w.key("workers").value(s.workers);
-    w.key("lookahead").value(s.lookahead);
-    w.key("tasks").value(s.tasks);
-    w.key("steals").value(s.steals);
-    w.key("parks").value(s.parks);
-    w.key("idle_ns").value(s.idle_ns);
-    w.key("busy_ns").value(s.busy_ns);
-    w.key("commit_wait_ns").value(s.commit_wait_ns);
-    w.key("span_ns").value(s.span_ns);
+    meta.sched->write_fields(w);
     w.end_object();
   }
   w.key("overhead_ns_per_record").value_exact(meta.overhead_ns_per_record);
@@ -203,19 +193,7 @@ ProfileDocument read_profile(const util::JsonValue& root) {
     doc.meta.setup_s_sum = meta.at("setup_s_sum").as_number();
   }
   if (meta.has("sched")) {
-    const util::JsonValue s = meta.at("sched");
-    core::SchedulerStats stats;
-    stats.mode = s.at("mode").as_string();
-    stats.workers = s.at("workers").as_u64();
-    stats.lookahead = s.at("lookahead").as_u64();
-    stats.tasks = s.at("tasks").as_u64();
-    stats.steals = s.at("steals").as_u64();
-    stats.parks = s.at("parks").as_u64();
-    stats.idle_ns = s.at("idle_ns").as_u64();
-    stats.busy_ns = s.at("busy_ns").as_u64();
-    stats.commit_wait_ns = s.at("commit_wait_ns").as_u64();
-    stats.span_ns = s.at("span_ns").as_u64();
-    doc.meta.sched = std::move(stats);
+    doc.meta.sched = core::SchedulerStats::read_fields(meta.at("sched"));
   }
   if (meta.has("overhead_ns_per_record")) {
     doc.meta.overhead_ns_per_record =

@@ -110,18 +110,7 @@ Journal read_journal(const std::string& text) {
       continue;
     }
     if (tag == "scheduler") {
-      core::SchedulerStats stats;
-      stats.mode = doc.at("mode").as_string();
-      stats.workers = doc.at("workers").as_u64();
-      stats.lookahead = doc.at("lookahead").as_u64();
-      stats.tasks = doc.at("tasks").as_u64();
-      stats.steals = doc.at("steals").as_u64();
-      stats.parks = doc.at("parks").as_u64();
-      stats.idle_ns = doc.at("idle_ns").as_u64();
-      stats.busy_ns = doc.at("busy_ns").as_u64();
-      stats.commit_wait_ns = doc.at("commit_wait_ns").as_u64();
-      stats.span_ns = doc.at("span_ns").as_u64();
-      journal.scheduler = std::move(stats);
+      journal.scheduler = core::SchedulerStats::read_fields(doc);
       continue;
     }
     if (tag == "summary") {
