@@ -128,7 +128,8 @@ void add_counter_prune_options(ArgParser& parser) {
       "--perf-counters");
   parser.add_option("counter-window",
                     "counter-prune: invocations consulted before the policy "
-                    "disarms for a configuration (default 2)");
+                    "disarms for a configuration (default 2); requires "
+                    "--counter-prune");
   parser.add_flag("sim-counters",
                   "simulated machines: synthesize deterministic hardware "
                   "counters (cycles/instructions/LLC misses) on every "
@@ -512,12 +513,22 @@ simhw::SimOptions sim_options_from(const ArgParser& parser) {
   return sim;
 }
 
+/// True under --counter-prune.  --counter-window without it is refused, so
+/// the window is never accepted and ignored.
+bool counter_prune_requested(const ArgParser& parser) {
+  if (parser.has("counter-prune")) return true;
+  if (parser.has("counter-window")) {
+    throw std::invalid_argument("--counter-window requires --counter-prune");
+  }
+  return false;
+}
+
 /// Wire --counter-prune [margin] into the tuner options.  The roofline
 /// ceilings come from the machine spec here in the CLI — core only ever
 /// sees plain-double ceilings, never simhw types.
 void counter_prune_from(const ArgParser& parser, core::TunerOptions& options,
                         const simhw::MachineSpec& machine, int sockets_used) {
-  if (!parser.has("counter-prune")) return;
+  if (!counter_prune_requested(parser)) return;
   options.counter_prune = true;
   options.counter_prune_margin =
       parser.get_double("counter-prune", options.counter_prune_margin);
@@ -532,7 +543,7 @@ void counter_prune_from(const ArgParser& parser, core::TunerOptions& options,
 /// (--custom-machine) and the counters must actually be sampled
 /// (--trace + --perf-counters), else the policy would silently never fire.
 void counter_prune_native(const ArgParser& parser, core::TunerOptions& options) {
-  if (!parser.has("counter-prune")) return;
+  if (!counter_prune_requested(parser)) return;
   const auto spec = parser.get("custom-machine");
   if (!spec) {
     throw std::invalid_argument(

@@ -272,6 +272,26 @@ TEST(CliOptions, TunerCountsRejectNegatives) {
       << zero.err;
 }
 
+// An option that only refines another is refused without it, on the
+// simulated and the --native path, instead of being accepted and ignored.
+// Every refusal comes before a backend is built, so no host kernel runs.
+TEST(CliOptions, RefiningOptionsRequireTheOptionTheyRefine) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"dgemm", "--machine", "gold6148", "--counter-window", "-7", "--invocations", "1",
+       "--iterations", "2", "--counter-window requires --counter-prune"},
+      {"dgemm", "--native", "--counter-window", "3", "--counter-window requires --counter-prune"},
+      {"triad", "--native", "--counter-window", "3", "--counter-window requires --counter-prune"},
+      {"spmv", "--counter-window", "3", "--counter-window requires --counter-prune"},
+      {"dgemm", "--machine", "gold6148", "--lookahead", "2", "--lookahead requires --workers"},
+  };
+  for (const auto& c : cases) {
+    const std::vector<std::string> args(c.begin(), c.end() - 1);
+    const auto r = run(args);
+    EXPECT_EQ(r.code, 1) << c[0] << ' ' << c[1];
+    EXPECT_NE(r.err.find(c.back()), std::string::npos) << r.err;
+  }
+}
+
 // Integer options stored in narrower or unsigned fields are range-checked
 // by name instead of wrapping: --grid-scale 2^32+1 used to tune the grid-1
 // space, --sockets 2^32+2 ran on 2 sockets, and a negative --counter-window

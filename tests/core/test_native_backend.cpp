@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "core/evaluator.hpp"
 
@@ -126,13 +128,19 @@ TEST(NativeDgemmBackend, SharedArenaServesBothOperandsSets) {
   EXPECT_EQ(backend.arena_stats()->leases, 3u);
 }
 
+// One 16384-element OpenMP pass takes microseconds, so a single scheduling
+// hiccup on a loaded host can push it past a bound: the bound holds for the
+// median of several passes after an untimed warm-up.
 TEST(NativeTriadBackend, ProducesPlausibleBandwidth) {
   NativeTriadBackend backend;
   backend.begin_invocation(triad_config(1 << 14), 0);
-  const Sample s = backend.run_iteration();
-  EXPECT_GT(s.value, 0.01);   // GB/s
-  EXPECT_LT(s.value, 1e4);
+  (void)backend.run_iteration();  // warm-up: thread team start, first touch
+  std::vector<double> gbps;
+  for (int i = 0; i < 9; ++i) gbps.push_back(backend.run_iteration().value);
   backend.end_invocation();
+  std::nth_element(gbps.begin(), gbps.begin() + 4, gbps.end());
+  EXPECT_GT(gbps[4], 0.01);  // GB/s
+  EXPECT_LT(gbps[4], 1e4);
 }
 
 TEST(NativeTriadBackend, MetricName) {
