@@ -110,7 +110,7 @@ core::ConfigResult rebuild(const ExportConfigResult& recorded) {
     core::InvocationResult invocation;
     invocation.moments.add(inv.mean);
     invocation.iterations = inv.iterations;
-    invocation.stop_reason = *core::stop_reason_from_string(inv.stop);
+    invocation.stop_reason = core::stop_reason_from_string(inv.stop).value();
     result.outer_moments.add(inv.mean);
     result.invocations.push_back(std::move(invocation));
   }
