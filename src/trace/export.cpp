@@ -438,6 +438,9 @@ ExportDocument read_export(const util::JsonValue& root) {
     if (space_point(best.at("config"), doc.space) != doc.results[index].config) {
       best.at("config").fail("best.config does not match results[best.index].config");
     }
+    if (best.at("value").as_number() != doc.results[index].value) {
+      best.at("value").fail("best.value does not match results[best.index].value");
+    }
     doc.best_index = index;
   }
   return doc;

@@ -128,7 +128,8 @@ struct ExportDocument {
 /// "schema version N ... newer than ... M" message when the document comes
 /// from a newer writer — on malformed or unsupported input.  A well-formed
 /// document is refused, with the offending value's line and column, when a
-/// configuration is not a point of its space or `best` names no result.
+/// configuration is not a point of its space, or when `best` names no
+/// result or disagrees with the result it names.
 [[nodiscard]] ExportDocument parse_export(const std::string& text);
 
 /// write_export to / parse_export from a file.  Throws std::runtime_error

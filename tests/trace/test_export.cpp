@@ -267,7 +267,7 @@ TEST(Export, UnknownStopReasonReportsLineAndColumn) {
 // Every refusal of a well-formed document names the offending value's line
 // and column: a configuration that is not a point of its space (value out
 // of range, missing or extra parameter, violated constraint) and a `best`
-// that names no result or another configuration.
+// that names no result or disagrees with the result it names.
 TEST(Export, SpaceRefusalsReportLineAndColumn) {
   ExportDocument doc = golden_document();
   doc.space = core::SearchSpace();
@@ -302,6 +302,8 @@ TEST(Export, SpaceRefusalsReportLineAndColumn) {
        27, "best.config does not match results[best.index].config"},
       {"best config outside the space", R"("best":{"index":1,"config":{"n":2,)",
        R"("best":{"index":1,"config":{"n":7,)", 27, "value 7 not in range 'n'"},
+      {"best value mismatch", R"("m":1},"value":12.25})", R"("m":1},"value":99})", 15,
+       "best.value does not match results[best.index].value"},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.name);
