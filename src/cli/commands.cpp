@@ -780,9 +780,9 @@ int cmd_roofline(const ArgParser& parser, std::ostream& out) {
   }
 
   if (const auto svg_path = parser.get("svg")) {
-    std::ofstream svg(*svg_path);
-    if (!svg) throw std::invalid_argument("cannot write SVG to '" + *svg_path + "'");
-    svg << roofline::render_svg(model);
+    if (!util::write_text_file(*svg_path, roofline::render_svg(model))) {
+      throw std::runtime_error("roofline: write to '" + *svg_path + "' failed");
+    }
     out << "wrote " << *svg_path << '\n';
   }
   return 0;

@@ -6,16 +6,17 @@
 // fine-grained events — invocation spans, stop-condition decisions with the
 // CI numbers at that instant, racing round transitions, incumbent updates —
 // through the abstract TraceSink owned by TunerOptions::trace.  core only
-// defines the seam; the concrete journal (per-worker buffering, JSONL
-// serialization, perf-counter sampling, deterministic merge) lives in
-// src/trace so the tuner keeps zero observability dependencies and a null
-// sink costs one pointer test per emission site.
+// defines the seam; the concrete journal (per-worker JSONL serialization,
+// perf-counter sampling, deterministic merge) lives in src/trace so the
+// tuner keeps zero observability dependencies and a null sink costs one
+// pointer test per emission site.
 //
 // Determinism contract: every event carries a *logical* position
 // (epoch, config ordinal, invocation, rank) instead of a host timestamp.
-// Sorting by that key at flush time makes simulator journals bit-identical
-// run-to-run and across ParallelEvaluator worker counts — see
-// docs/observability.md for the full schema and ordering rules.
+// The journal keeps each serialized line under that key and sorts by it
+// when it writes, which makes simulator journals bit-identical run-to-run
+// and across ParallelEvaluator worker counts — see docs/observability.md
+// for the full schema and ordering rules.
 
 #include <cstdint>
 #include <optional>
@@ -40,7 +41,8 @@ struct TraceContext {
 
 /// One observability event.  A flat tagged struct rather than a class
 /// hierarchy: events cross a hot boundary (every invocation emits two), so
-/// they are built on the stack and copied once into a per-worker buffer.
+/// they are built on the stack and serialized by the sink on the emitting
+/// thread; the journal keeps the line, never the event.
 /// Fields beyond the sort key are meaningful only for the kinds that
 /// document them; the journal serializes per kind.
 struct TraceEvent {

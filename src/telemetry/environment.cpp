@@ -142,8 +142,16 @@ std::uint64_t hash_string(std::uint64_t h, const std::string& s) {
   return h;
 }
 
-std::string field_or_unknown(const util::JsonValue& doc, const char* key) {
-  return doc.has(key) ? doc.at(key).as_string() : std::string(kUnknown);
+std::string string_or_unknown(const util::JsonValue& object, const char* key) {
+  return object.has(key) ? object.at(key).as_string() : std::string(kUnknown);
+}
+
+int int_or_zero(const util::JsonValue& object, const char* key) {
+  return object.has(key) ? object.at(key).as_i32() : 0;
+}
+
+std::int64_t int64_or_zero(const util::JsonValue& object, const char* key) {
+  return object.has(key) ? object.at(key).as_int() : 0;
 }
 
 }  // namespace
@@ -231,28 +239,32 @@ void EnvironmentFingerprint::write_provenance(util::JsonWriter& w) const {
   w.end_object();
 }
 
+EnvironmentFingerprint EnvironmentFingerprint::read_fields(
+    const util::JsonValue& object) {
+  (void)object.as_object();  // refuses a non-object, naming its offset
+  EnvironmentFingerprint env;
+  env.cpu_model = string_or_unknown(object, "cpu");
+  env.uarch = string_or_unknown(object, "uarch");
+  env.logical_cpus = int_or_zero(object, "logical_cpus");
+  env.physical_cores = int_or_zero(object, "cores");
+  env.smt = int_or_zero(object, "smt");
+  env.numa_nodes = int_or_zero(object, "numa");
+  env.governor = string_or_unknown(object, "governor");
+  env.freq_min_khz = int64_or_zero(object, "freq_min_khz");
+  env.freq_max_khz = int64_or_zero(object, "freq_max_khz");
+  env.turbo = string_or_unknown(object, "turbo");
+  env.thp = string_or_unknown(object, "thp");
+  env.aslr = string_or_unknown(object, "aslr");
+  env.compiler = string_or_unknown(object, "compiler");
+  env.build = string_or_unknown(object, "build");
+  return env;
+}
+
 EnvironmentFingerprint parse_provenance(const util::JsonValue& doc) {
   if (!doc.has("t") || doc.at("t").as_string() != "provenance") {
     throw std::runtime_error("parse_provenance: not a provenance record");
   }
-  EnvironmentFingerprint env;
-  env.cpu_model = field_or_unknown(doc, "cpu");
-  env.uarch = field_or_unknown(doc, "uarch");
-  if (doc.has("logical_cpus")) {
-    env.logical_cpus = doc.at("logical_cpus").as_i32();
-  }
-  if (doc.has("cores")) env.physical_cores = doc.at("cores").as_i32();
-  if (doc.has("smt")) env.smt = doc.at("smt").as_i32();
-  if (doc.has("numa")) env.numa_nodes = doc.at("numa").as_i32();
-  env.governor = field_or_unknown(doc, "governor");
-  if (doc.has("freq_min_khz")) env.freq_min_khz = doc.at("freq_min_khz").as_int();
-  if (doc.has("freq_max_khz")) env.freq_max_khz = doc.at("freq_max_khz").as_int();
-  env.turbo = field_or_unknown(doc, "turbo");
-  env.thp = field_or_unknown(doc, "thp");
-  env.aslr = field_or_unknown(doc, "aslr");
-  env.compiler = field_or_unknown(doc, "compiler");
-  env.build = field_or_unknown(doc, "build");
-  return env;
+  return EnvironmentFingerprint::read_fields(doc);
 }
 
 }  // namespace rooftune::telemetry

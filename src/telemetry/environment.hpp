@@ -55,13 +55,24 @@ struct EnvironmentFingerprint {
   /// `w` is writing (the export's "environment" object).
   void write_fields(util::JsonWriter& w) const;
 
+  /// The inverse of write_fields over a parsed object: the export's
+  /// "environment" object and the journal's provenance record.  Lenient
+  /// like capture(): a missing key reads as "unknown" (strings) or 0
+  /// (numbers), and other keys are ignored.  A key of the wrong type, or a
+  /// value that is not an object, throws std::runtime_error naming the
+  /// value's byte offset, which the artifact readers turn into a line and
+  /// column.
+  [[nodiscard]] static EnvironmentFingerprint read_fields(
+      const util::JsonValue& object);
+
   /// Append the full provenance journal record as one top-level object:
   ///   {"t":"provenance","v":1,...,"env":"<16-hex stable_hash>"}
   void write_provenance(util::JsonWriter& w) const;
 };
 
-/// Parse a provenance record produced by write_provenance().  Throws
-/// std::runtime_error when the document is not a provenance record.
+/// Parse a provenance record produced by write_provenance() (its fields
+/// through EnvironmentFingerprint::read_fields).  Throws std::runtime_error
+/// when the document is not a provenance record.
 [[nodiscard]] EnvironmentFingerprint parse_provenance(
     const util::JsonValue& doc);
 

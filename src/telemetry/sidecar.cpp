@@ -1,11 +1,11 @@
 #include "telemetry/sidecar.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <stdexcept>
 #include <tuple>
 
 #include "util/json.hpp"
+#include "util/strings.hpp"
 
 namespace rooftune::telemetry {
 
@@ -121,11 +121,9 @@ std::string TelemetrySidecar::str() const {
 
 void TelemetrySidecar::flush() const {
   if (path_.empty()) return;
-  std::ofstream out(path_, std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("TelemetrySidecar: cannot write " + path_);
+  if (!util::write_text_file(path_, str())) {
+    throw std::runtime_error("telemetry: write to '" + path_ + "' failed");
   }
-  out << str();
 }
 
 }  // namespace rooftune::telemetry

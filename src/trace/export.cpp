@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -29,26 +28,6 @@ void write_config(util::JsonWriter& w, const core::Configuration& config) {
     w.key(p.name).value(static_cast<long long>(p.value));
   }
   w.end_object();
-}
-
-telemetry::EnvironmentFingerprint parse_environment(
-    const util::JsonValue& doc) {
-  telemetry::EnvironmentFingerprint env;
-  env.cpu_model = doc.at("cpu").as_string();
-  env.uarch = doc.at("uarch").as_string();
-  env.logical_cpus = doc.at("logical_cpus").as_i32();
-  env.physical_cores = doc.at("cores").as_i32();
-  env.smt = doc.at("smt").as_i32();
-  env.numa_nodes = doc.at("numa").as_i32();
-  env.governor = doc.at("governor").as_string();
-  env.freq_min_khz = doc.at("freq_min_khz").as_int();
-  env.freq_max_khz = doc.at("freq_max_khz").as_int();
-  env.turbo = doc.at("turbo").as_string();
-  env.thp = doc.at("thp").as_string();
-  env.aslr = doc.at("aslr").as_string();
-  env.compiler = doc.at("compiler").as_string();
-  env.build = doc.at("build").as_string();
-  return env;
 }
 
 std::string validated_stop(const util::JsonValue& v, const char* where) {
@@ -399,7 +378,8 @@ ExportDocument read_export(const util::JsonValue& root) {
   }
 
   if (root.has("environment") && !root.at("environment").is_null()) {
-    doc.environment = parse_environment(root.at("environment"));
+    doc.environment =
+        telemetry::EnvironmentFingerprint::read_fields(root.at("environment"));
   }
 
   doc.space = core::SearchSpace::from_json(root.at("space"));
@@ -455,14 +435,11 @@ ExportDocument parse_export(const std::string& text) {
 }
 
 void write_export_file(const std::string& path, const ExportDocument& doc) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("export: cannot open '" + path + "' for writing");
-  }
   std::string text = write_export(doc);
   text += '\n';
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  if (!out) throw std::runtime_error("export: write to '" + path + "' failed");
+  if (!util::write_text_file(path, text)) {
+    throw std::runtime_error("export: write to '" + path + "' failed");
+  }
 }
 
 ExportDocument parse_export_file(const std::string& path) {

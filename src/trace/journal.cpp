@@ -1,12 +1,12 @@
 #include "trace/journal.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <stdexcept>
+#include <tuple>
 #include <unordered_map>
 
-#include "util/json.hpp"
 #include "util/profiler.hpp"
+#include "util/strings.hpp"
 
 namespace rooftune::trace {
 
@@ -66,6 +66,158 @@ void write_optional(util::JsonWriter& w, const char* key,
   } else {
     w.key(key).null();
   }
+}
+
+/// One event as one JSON object (no line break): the record tag, the sort
+/// key, then the fields of its kind.  `perf` is the counter sample sampled
+/// over an Invocation's kernel phase (invalid when none was read).
+void write_record(util::JsonWriter& w, const core::TraceEvent& e,
+                  const PerfSample& perf) {
+  using Kind = core::TraceEvent::Kind;
+  w.begin_object();
+  w.key("t").value(kind_tag(e.kind));
+  write_sort_key(w, e);
+  switch (e.kind) {
+    case Kind::IncumbentUpdate:
+      write_config(w, e.config);
+      w.key("value").value(e.value);
+      break;
+    case Kind::StopDecision:
+      write_config(w, e.config);
+      w.key("level").value(e.outer_level ? "invocation" : "iteration");
+      w.key("reason").value(core::to_string(e.reason));
+      w.key("count").value(e.count);
+      w.key("mean").value(e.mean);
+      write_ci(w, "ci", e.have_ci, e.ci_lower, e.ci_upper);
+      if (!e.outer_level) w.key("kernel_s").value(e.accumulated_s);
+      write_optional(w, "incumbent", e.incumbent);
+      break;
+    case Kind::Invocation:
+      write_config(w, e.config);
+      w.key("reason").value(core::to_string(e.reason));
+      w.key("iterations").value(e.iterations);
+      w.key("kernel_s").value(e.kernel_s);
+      w.key("setup_s").value(e.setup_s);
+      w.key("wall_s").value(e.wall_s);
+      w.key("det").value(e.deterministic_timing);
+      w.key("mean").value(e.mean);
+      w.key("stddev").value(e.stddev);
+      w.key("rising").value(e.trend_rising);
+      if (e.flops.has_value()) w.key("flops").value(*e.flops);
+      if (e.bytes.has_value()) w.key("bytes").value(*e.bytes);
+      if (perf.valid || (e.counters.has_value() && e.counters->valid)) {
+        // Sampled counters (attached at kernel_phase_end) win; otherwise
+        // the event's own counters — the sim backend's synthetic model —
+        // serialize through the same key layout, so the reader and the
+        // analyzer's measured-OI column are backend-agnostic.
+        const bool sampled = perf.valid;
+        const auto cycles = sampled ? perf.cycles : e.counters->cycles;
+        const auto instructions =
+            sampled ? perf.instructions : e.counters->instructions;
+        const auto llc_misses =
+            sampled ? perf.llc_misses : e.counters->llc_misses;
+        const bool scaled = sampled ? perf.scaled : e.counters->scaled;
+        const auto enabled_ns =
+            sampled ? perf.time_enabled_ns : e.counters->time_enabled_ns;
+        const auto running_ns =
+            sampled ? perf.time_running_ns : e.counters->time_running_ns;
+        w.key("perf").begin_object();
+        w.key("cycles").value(cycles);
+        w.key("instructions").value(instructions);
+        w.key("llc_misses").value(llc_misses);
+        // Counts extrapolated from a partial PMU slice (multiplexing):
+        // record the slice so the analyzer can warn and quantify.
+        if (scaled) {
+          w.key("scaled").value(true);
+          w.key("time_enabled_ns").value(enabled_ns);
+          w.key("time_running_ns").value(running_ns);
+        }
+        w.end_object();
+      }
+      if (e.arena_delta.has_value()) {
+        const util::ArenaStats& a = *e.arena_delta;
+        w.key("arena").begin_object();
+        w.key("leases").value(a.leases);
+        w.key("slab_hits").value(a.slab_hits);
+        w.key("slab_misses").value(a.slab_misses);
+        w.key("allocations").value(a.allocations);
+        w.key("bytes_leased").value(a.bytes_leased);
+        w.key("bytes_reserved").value(a.bytes_reserved);
+        w.key("pages_touched").value(a.pages_touched);
+        w.end_object();
+      }
+      break;
+    case Kind::ConfigDone:
+      write_config(w, e.config);
+      w.key("reason").value(core::to_string(e.reason));
+      w.key("value").value(e.value);
+      w.key("pruned").value(e.pruned);
+      w.key("iterations").value(e.iterations);
+      w.key("kernel_s").value(e.kernel_s);
+      w.key("setup_s").value(e.setup_s);
+      break;
+    case Kind::Elimination:
+      write_config(w, e.config);
+      w.key("basis").value(e.basis);
+      w.key("count").value(e.count);
+      w.key("mean").value(e.mean);
+      write_ci(w, "ci", e.have_ci, e.ci_lower, e.ci_upper);
+      if (e.basis != "inner-prune") {
+        w.key("leader").value(e.leader_ordinal);
+        w.key("leader_ci")
+            .begin_array()
+            .value(e.leader_ci_lower)
+            .value(e.leader_ci_upper)
+            .end_array();
+      }
+      break;
+    case Kind::Round:
+      w.key("before").value(e.survivors_before);
+      w.key("after").value(e.survivors_after);
+      w.key("eliminated").value(e.eliminated);
+      w.key("finished").value(e.finished);
+      break;
+    case Kind::Resume:
+      w.key("restored").value(e.restored_configs);
+      break;
+    case Kind::SurrogateFit:
+      // Two shapes: the phase summary (no cfg) carries the model quality;
+      // per-seed records carry predicted vs measured for one config.
+      if (e.config.parameters().empty()) {
+        w.key("samples").value(e.count);
+        w.key("r2").value(e.r2);
+        w.key("scale").value(e.model_log_scale ? "log" : "raw");
+      } else {
+        write_config(w, e.config);
+        write_optional(w, "predicted", e.predicted);
+        w.key("measured").value(e.value);
+      }
+      break;
+    case Kind::CounterPrune:
+      write_config(w, e.config);
+      w.key("class").value(e.basis);
+      w.key("bound").value(e.bound);
+      w.key("margin").value(e.margin);
+      write_optional(w, "oi", e.oi);
+      w.key("widened").value(e.widened);
+      write_optional(w, "incumbent", e.incumbent);
+      w.key("count").value(e.count);
+      w.key("mean").value(e.mean);
+      break;
+    case Kind::PruneBatch:
+      // Summary (no cfg): scan statistics; per-config records: the kept
+      // candidates with their predicted values.
+      if (e.config.parameters().empty()) {
+        w.key("scanned").value(e.scanned);
+        w.key("kept").value(e.kept);
+        w.key("pruned").value(e.scanned - e.kept);
+      } else {
+        write_config(w, e.config);
+        write_optional(w, "predicted", e.predicted);
+      }
+      break;
+  }
+  w.end_object();
 }
 
 }  // namespace
@@ -137,15 +289,13 @@ std::optional<core::CounterSample> TraceJournal::kernel_phase_counters() const {
 
 void TraceJournal::emit(const core::TraceEvent& event) {
   WorkerBuffer& buffer = local_buffer();
-  Record record;
-  record.event = event;
-  record.seq = seq_.fetch_add(1, std::memory_order_relaxed);
+  PerfSample perf;
   if (event.kind == core::TraceEvent::Kind::Invocation) {
     if (buffer.pending.valid) {
       // The counters read at the last kernel_phase_end belong to the span
       // being recorded now (the evaluator emits the span right after the
       // phase closes, on the same thread).
-      record.perf = buffer.pending;
+      perf = buffer.pending;
       buffer.pending = PerfSample{};
     }
     if (options_.sidecar != nullptr) {
@@ -162,7 +312,17 @@ void TraceJournal::emit(const core::TraceEvent& event) {
     }
     buffer.pending_telemetry = core::TelemetrySpan{};
   }
-  buffer.records.push_back(std::move(record));
+  Record record;
+  record.epoch = event.epoch;
+  record.ordinal = event.config_ordinal;
+  record.invocation = event.invocation;
+  record.rank = event.rank;
+  record.seq = seq_.fetch_add(1, std::memory_order_relaxed);
+  record.begin = buffer.text.str().size();
+  write_record(buffer.text, event, perf);
+  buffer.text.line_break();
+  record.length = static_cast<std::uint32_t>(buffer.text.str().size() - record.begin);
+  buffer.records.push_back(record);
 }
 
 void TraceJournal::kernel_phase_begin() {
@@ -198,26 +358,35 @@ const char* TraceJournal::perf_unavailable_reason() {
 }
 
 std::string TraceJournal::str() const {
-  std::vector<const Record*> merged;
+  struct Line {
+    const Record* record;
+    const char* text;  ///< the emitting worker's text
+  };
+  std::vector<Line> merged;
+  std::size_t body_bytes = 0;
   std::string degraded;
   {
     const std::scoped_lock lock(mutex_);
+    std::size_t records = 0;
+    for (const auto& buffer : buffers_) records += buffer->records.size();
+    merged.reserve(records);
     for (const auto& buffer : buffers_) {
-      for (const auto& record : buffer->records) merged.push_back(&record);
+      const char* text = buffer->text.str().data();
+      for (const Record& record : buffer->records) {
+        merged.push_back({&record, text});
+        body_bytes += record.length;
+      }
     }
     degraded = degraded_reason_;
   }
   // Logical order first; emission order breaks the (rare) ties — e.g. a
   // Resume record and the first block's frozen incumbent share a cell, and
   // both are emitted by the coordinating thread in a fixed order.
-  std::sort(merged.begin(), merged.end(), [](const Record* a, const Record* b) {
-    const auto key = [](const core::TraceEvent& e) {
-      return std::make_tuple(e.epoch, e.config_ordinal, e.invocation, e.rank);
+  std::sort(merged.begin(), merged.end(), [](const Line& a, const Line& b) {
+    const auto key = [](const Record& r) {
+      return std::make_tuple(r.epoch, r.ordinal, r.invocation, r.rank, r.seq);
     };
-    const auto ka = key(a->event);
-    const auto kb = key(b->event);
-    if (ka != kb) return ka < kb;
-    return a->seq < b->seq;
+    return key(*a.record) < key(*b.record);
   });
 
   util::JsonWriter w;
@@ -241,192 +410,49 @@ std::string TraceJournal::str() const {
   w.end_object();
   w.line_break();
 
-  using Kind = core::TraceEvent::Kind;
-  for (const Record* record : merged) {
-    const core::TraceEvent& e = record->event;
-    w.begin_object();
-    w.key("t").value(kind_tag(e.kind));
-    write_sort_key(w, e);
-    switch (e.kind) {
-      case Kind::IncumbentUpdate:
-        write_config(w, e.config);
-        w.key("value").value(e.value);
-        break;
-      case Kind::StopDecision:
-        write_config(w, e.config);
-        w.key("level").value(e.outer_level ? "invocation" : "iteration");
-        w.key("reason").value(core::to_string(e.reason));
-        w.key("count").value(e.count);
-        w.key("mean").value(e.mean);
-        write_ci(w, "ci", e.have_ci, e.ci_lower, e.ci_upper);
-        if (!e.outer_level) w.key("kernel_s").value(e.accumulated_s);
-        write_optional(w, "incumbent", e.incumbent);
-        break;
-      case Kind::Invocation:
-        write_config(w, e.config);
-        w.key("reason").value(core::to_string(e.reason));
-        w.key("iterations").value(e.iterations);
-        w.key("kernel_s").value(e.kernel_s);
-        w.key("setup_s").value(e.setup_s);
-        w.key("wall_s").value(e.wall_s);
-        w.key("det").value(e.deterministic_timing);
-        w.key("mean").value(e.mean);
-        w.key("stddev").value(e.stddev);
-        w.key("rising").value(e.trend_rising);
-        if (e.flops.has_value()) w.key("flops").value(*e.flops);
-        if (e.bytes.has_value()) w.key("bytes").value(*e.bytes);
-        if (record->perf.valid || (e.counters.has_value() && e.counters->valid)) {
-          // Sampled counters (attached at kernel_phase_end) win; otherwise
-          // the event's own counters — the sim backend's synthetic model —
-          // serialize through the same key layout, so the reader and the
-          // analyzer's measured-OI column are backend-agnostic.
-          const bool sampled = record->perf.valid;
-          const auto cycles = sampled ? record->perf.cycles : e.counters->cycles;
-          const auto instructions =
-              sampled ? record->perf.instructions : e.counters->instructions;
-          const auto llc_misses =
-              sampled ? record->perf.llc_misses : e.counters->llc_misses;
-          const bool scaled = sampled ? record->perf.scaled : e.counters->scaled;
-          const auto enabled_ns =
-              sampled ? record->perf.time_enabled_ns : e.counters->time_enabled_ns;
-          const auto running_ns =
-              sampled ? record->perf.time_running_ns : e.counters->time_running_ns;
-          w.key("perf").begin_object();
-          w.key("cycles").value(cycles);
-          w.key("instructions").value(instructions);
-          w.key("llc_misses").value(llc_misses);
-          // Counts extrapolated from a partial PMU slice (multiplexing):
-          // record the slice so the analyzer can warn and quantify.
-          if (scaled) {
-            w.key("scaled").value(true);
-            w.key("time_enabled_ns").value(enabled_ns);
-            w.key("time_running_ns").value(running_ns);
-          }
-          w.end_object();
-        }
-        if (e.arena_delta.has_value()) {
-          const util::ArenaStats& a = *e.arena_delta;
-          w.key("arena").begin_object();
-          w.key("leases").value(a.leases);
-          w.key("slab_hits").value(a.slab_hits);
-          w.key("slab_misses").value(a.slab_misses);
-          w.key("allocations").value(a.allocations);
-          w.key("bytes_leased").value(a.bytes_leased);
-          w.key("bytes_reserved").value(a.bytes_reserved);
-          w.key("pages_touched").value(a.pages_touched);
-          w.end_object();
-        }
-        break;
-      case Kind::ConfigDone:
-        write_config(w, e.config);
-        w.key("reason").value(core::to_string(e.reason));
-        w.key("value").value(e.value);
-        w.key("pruned").value(e.pruned);
-        w.key("iterations").value(e.iterations);
-        w.key("kernel_s").value(e.kernel_s);
-        w.key("setup_s").value(e.setup_s);
-        break;
-      case Kind::Elimination:
-        write_config(w, e.config);
-        w.key("basis").value(e.basis);
-        w.key("count").value(e.count);
-        w.key("mean").value(e.mean);
-        write_ci(w, "ci", e.have_ci, e.ci_lower, e.ci_upper);
-        if (e.basis != "inner-prune") {
-          w.key("leader").value(e.leader_ordinal);
-          w.key("leader_ci")
-              .begin_array()
-              .value(e.leader_ci_lower)
-              .value(e.leader_ci_upper)
-              .end_array();
-        }
-        break;
-      case Kind::Round:
-        w.key("before").value(e.survivors_before);
-        w.key("after").value(e.survivors_after);
-        w.key("eliminated").value(e.eliminated);
-        w.key("finished").value(e.finished);
-        break;
-      case Kind::Resume:
-        w.key("restored").value(e.restored_configs);
-        break;
-      case Kind::SurrogateFit:
-        // Two shapes: the phase summary (no cfg) carries the model quality;
-        // per-seed records carry predicted vs measured for one config.
-        if (e.config.parameters().empty()) {
-          w.key("samples").value(e.count);
-          w.key("r2").value(e.r2);
-          w.key("scale").value(e.model_log_scale ? "log" : "raw");
-        } else {
-          write_config(w, e.config);
-          write_optional(w, "predicted", e.predicted);
-          w.key("measured").value(e.value);
-        }
-        break;
-      case Kind::CounterPrune:
-        write_config(w, e.config);
-        w.key("class").value(e.basis);
-        w.key("bound").value(e.bound);
-        w.key("margin").value(e.margin);
-        write_optional(w, "oi", e.oi);
-        w.key("widened").value(e.widened);
-        write_optional(w, "incumbent", e.incumbent);
-        w.key("count").value(e.count);
-        w.key("mean").value(e.mean);
-        break;
-      case Kind::PruneBatch:
-        // Summary (no cfg): scan statistics; per-config records: the kept
-        // candidates with their predicted values.
-        if (e.config.parameters().empty()) {
-          w.key("scanned").value(e.scanned);
-          w.key("kept").value(e.kept);
-          w.key("pruned").value(e.scanned - e.kept);
-        } else {
-          write_config(w, e.config);
-          write_optional(w, "predicted", e.predicted);
-        }
-        break;
-    }
-    w.end_object();
-    w.line_break();
-  }
-
+  util::JsonWriter tail;
   if (summary_.has_value() && summary_->scheduler.has_value()) {
     // Scheduler accounting rides between the events and the summary as its
     // own record so the summary line's bytes never depend on whether stats
     // were collected.  Everything here is wall-clock — the one record in a
     // journal that is EXPECTED to differ across reruns.
     const core::SchedulerStats& s = *summary_->scheduler;
-    w.begin_object();
-    w.key("t").value("scheduler");
-    s.write_fields(w);
-    w.key("idle_fraction").value(s.idle_fraction());
-    w.end_object();
-    w.line_break();
+    tail.begin_object();
+    tail.key("t").value("scheduler");
+    s.write_fields(tail);
+    tail.key("idle_fraction").value(s.idle_fraction());
+    tail.end_object();
+    tail.line_break();
   }
 
   if (summary_.has_value()) {
-    w.begin_object();
-    w.key("t").value("summary");
-    w.key("configs").value(summary_->configs);
-    w.key("pruned").value(summary_->pruned);
-    w.key("invocations").value(summary_->invocations);
-    w.key("iterations").value(summary_->iterations);
-    write_optional(w, "best", summary_->best);
-    w.end_object();
-    w.line_break();
+    tail.begin_object();
+    tail.key("t").value("summary");
+    tail.key("configs").value(summary_->configs);
+    tail.key("pruned").value(summary_->pruned);
+    tail.key("invocations").value(summary_->invocations);
+    tail.key("iterations").value(summary_->iterations);
+    write_optional(tail, "best", summary_->best);
+    tail.end_object();
+    tail.line_break();
   }
-  return std::move(w).str();
+
+  std::string out;
+  out.reserve(w.str().size() + body_bytes + tail.str().size());
+  out += w.str();
+  for (const Line& line : merged) {
+    out.append(line.text + line.record->begin, line.record->length);
+  }
+  out += tail.str();
+  return out;
 }
 
 void TraceJournal::flush() const {
   if (options_.path.empty()) return;
   const util::ProfileSpan span(util::ProfileCategory::JournalFlush);
-  std::ofstream out(options_.path, std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("TraceJournal: cannot write " + options_.path);
+  if (!util::write_text_file(options_.path, str())) {
+    throw std::runtime_error("journal: write to '" + options_.path + "' failed");
   }
-  out << str();
 }
 
 }  // namespace rooftune::trace

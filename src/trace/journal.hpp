@@ -1,17 +1,19 @@
 #pragma once
-// TraceJournal — the concrete core::TraceSink: per-worker buffering,
-// deterministic merge, JSONL serialization, optional per-invocation
-// hardware counters.
+// TraceJournal — the concrete core::TraceSink: per-worker serialization,
+// deterministic merge, JSONL output, optional per-invocation hardware
+// counters.
 //
-// Concurrency model: emit() appends to a buffer owned by the calling
-// thread (one lock acquisition per thread's *first* event, none after), so
+// Concurrency model: emit() serializes the event on the calling thread into
+// a text buffer owned by that thread (one lock acquisition per thread's
+// *first* event, none after), and keeps only a small index entry per record:
+// its logical sort key (epoch, config ordinal, invocation, rank), its
+// emission sequence number and where its line sits in that thread's text.
 // ParallelEvaluator workers never contend on the hot path.  flush()/str()
-// merge the buffers by the logical sort key (epoch, config ordinal,
-// invocation, rank) with emission order as the tie-break — on the simulated
-// backends the result is byte-identical run-to-run and across 1/2/8
-// workers, because nothing position-dependent (timestamps, sequence
-// numbers, worker ids) is ever serialized.  docs/observability.md is the
-// schema reference.
+// sort the index by the logical key with emission order as the tie-break
+// and concatenate the lines — on the simulated backends the result is
+// byte-identical run-to-run and across 1/2/8 workers, because nothing
+// position-dependent (timestamps, sequence numbers, worker ids) is ever
+// serialized.  docs/observability.md is the schema reference.
 
 #include <atomic>
 #include <cstdint>
@@ -28,6 +30,7 @@
 #include "telemetry/sidecar.hpp"
 #include "telemetry/span_probe.hpp"
 #include "trace/perf_counters.hpp"
+#include "util/json.hpp"
 
 namespace rooftune::trace {
 
@@ -107,8 +110,9 @@ class TraceJournal final : public core::TraceSink {
   [[nodiscard]] std::optional<core::CounterSample> kernel_phase_counters()
       const override;
 
-  /// Merge all worker buffers into deterministic order and serialize as
-  /// JSONL.  Safe to call while no worker is concurrently emitting.
+  /// The journal as JSONL: the provenance and run header, every emitted
+  /// record's line in deterministic order, then the scheduler record and
+  /// the summary.  Safe to call while no worker is concurrently emitting.
   [[nodiscard]] std::string str() const;
 
   /// str() written to JournalOptions::path (no-op when the path is empty).
@@ -125,12 +129,19 @@ class TraceJournal final : public core::TraceSink {
   [[nodiscard]] const char* perf_unavailable_reason();
 
  private:
+  /// Where one serialized record lives: its sort key and its line's slice
+  /// of the emitting worker's text (trailing '\n' included).
   struct Record {
-    core::TraceEvent event;
-    PerfSample perf;       ///< valid only for Invocation records
-    std::uint64_t seq = 0; ///< emission order; merge tie-break, never serialized
+    std::uint64_t epoch = 0;
+    std::uint64_t ordinal = 0;
+    std::uint64_t invocation = 0;
+    std::uint64_t seq = 0;    ///< emission order; merge tie-break, never serialized
+    std::size_t begin = 0;    ///< offset of the line in WorkerBuffer::text
+    std::uint32_t length = 0; ///< bytes of the line
+    int rank = 0;
   };
   struct WorkerBuffer {
+    util::JsonWriter text;  ///< this worker's records, one line each
     std::vector<Record> records;
     std::unique_ptr<PerfCounterSampler> sampler;
     PerfSample pending;  ///< last kernel phase's deltas, not yet attached

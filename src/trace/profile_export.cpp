@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -146,11 +145,11 @@ std::string write_profile_json(const util::ProfileSnapshot& snapshot,
 void write_profile_file(const std::string& path,
                         const util::ProfileSnapshot& snapshot,
                         ProfileMetadata meta) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("profile: cannot write " + path);
   std::string text = write_profile_json(snapshot, std::move(meta));
   text += '\n';
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  if (!util::write_text_file(path, text)) {
+    throw std::runtime_error("profile: write to '" + path + "' failed");
+  }
 }
 
 namespace {

@@ -94,4 +94,13 @@ std::optional<std::string> read_text_file(const std::string& path) {
   return text;
 }
 
+bool write_text_file(const std::string& path, std::string_view text) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) return false;
+  const bool written = std::fwrite(text.data(), 1, text.size(), file) == text.size();
+  // fclose flushes the stdio buffer: a short write can surface only here.
+  const bool closed = std::fclose(file) == 0;
+  return written && closed;
+}
+
 }  // namespace rooftune::util

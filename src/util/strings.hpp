@@ -3,6 +3,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rooftune::util {
@@ -27,5 +28,11 @@ std::string with_thousands(double value, int decimals);
 /// A whole file's bytes, read into one string sized up front; nullopt when
 /// the file cannot be opened or read (each caller words its own error).
 std::optional<std::string> read_text_file(const std::string& path);
+
+/// Replace the file at `path` with `text`; false when it cannot be opened,
+/// or when writing or closing it fails (a full disk, /dev/full), so a
+/// caller never reports a file it did not write (each caller words its own
+/// error).
+[[nodiscard]] bool write_text_file(const std::string& path, std::string_view text);
 
 }  // namespace rooftune::util

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 #include <string>
 
@@ -127,6 +128,61 @@ TEST(Cli, RooflineHonoursTechnique) {
   ASSERT_EQ(fixed.code, 0) << fixed.err;
   EXPECT_GT(dgemm_tuning_seconds(fixed.out),
             10.0 * dgemm_tuning_seconds(recommended.out));
+}
+
+// Every artifact writer checks the write and the close: a full device
+// fails the command and names the path instead of exiting 0 with nothing
+// written.
+class ArtifactWriteCli : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!std::filesystem::exists("/dev/full")) {
+      GTEST_SKIP() << "/dev/full is not available";
+    }
+  }
+
+  static void expect_write_failure(std::initializer_list<std::string> extra,
+                                   const std::string& path) {
+    std::vector<std::string> args = {"dgemm", "--machine", "gold6148",
+                                     "--invocations", "1", "--iterations", "2"};
+    args.insert(args.end(), extra);
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli(args, out, err), 1) << out.str();
+    EXPECT_NE(err.str().find("write to '" + path + "' failed"), std::string::npos)
+        << err.str();
+  }
+};
+
+TEST_F(ArtifactWriteCli, TraceJournalOnAFullDeviceFails) {
+  expect_write_failure({"--trace", "/dev/full"}, "/dev/full");
+}
+
+TEST_F(ArtifactWriteCli, ProfileOnAFullDeviceFails) {
+  expect_write_failure({"--profile", "/dev/full"}, "/dev/full");
+}
+
+TEST_F(ArtifactWriteCli, ExportOnAFullDeviceFails) {
+  expect_write_failure({"--export", "/dev/full"}, "/dev/full");
+}
+
+TEST_F(ArtifactWriteCli, RooflineSvgOnAFullDeviceFails) {
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"roofline", "--machine", "gold6148", "--svg", "/dev/full"}, out, err), 1);
+  EXPECT_NE(err.str().find("write to '/dev/full' failed"), std::string::npos) << err.str();
+  EXPECT_EQ(out.str().find("wrote /dev/full"), std::string::npos);
+}
+
+TEST_F(ArtifactWriteCli, TelemetrySidecarOnAFullDeviceFails) {
+  // The sidecar's path is the journal's plus ".telemetry.jsonl"; a symlink
+  // there sends only the sidecar to the full device.
+  const auto dir = std::filesystem::temp_directory_path() / "rooftune_full_sidecar";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string journal = (dir / "j.jsonl").string();
+  const std::string sidecar = journal + ".telemetry.jsonl";
+  std::filesystem::create_symlink("/dev/full", sidecar);
+  expect_write_failure({"--trace", journal, "--telemetry"}, sidecar);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

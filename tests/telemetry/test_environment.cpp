@@ -99,6 +99,32 @@ TEST(Environment, ProvenanceRoundTripsThroughParse) {
   EXPECT_EQ(restored.stable_hash(), env.stable_hash());
 }
 
+// One reader for both artifacts: a missing key reads as "unknown" or 0, a
+// key of the wrong type is refused naming the value's offset.
+TEST(Environment, ReadFieldsDefaultsMissingKeysAndRefusesMistypedOnes) {
+  const auto env = parse_provenance(
+      util::parse_json(R"({"t":"provenance","v":1,"cpu":"X","numa":2})"));
+  EXPECT_EQ(env.cpu_model, "X");
+  EXPECT_EQ(env.numa_nodes, 2);
+  EXPECT_EQ(env.uarch, "unknown");
+  EXPECT_EQ(env.build, "unknown");
+  EXPECT_EQ(env.smt, 0);
+  EXPECT_EQ(env.freq_max_khz, 0);
+
+  for (const char* text : {R"({"cpu":"X","smt":"2"})", R"({"cpu":7})",
+                           R"({"freq_min_khz":0.5})"}) {
+    try {
+      (void)EnvironmentFingerprint::read_fields(util::parse_json(text));
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("at offset"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)EnvironmentFingerprint::read_fields(util::parse_json("[1]")),
+               std::runtime_error);
+}
+
 TEST(Environment, ParseRejectsNonProvenanceRecords) {
   EXPECT_THROW(parse_provenance(util::parse_json(R"({"t":"run","v":1})")),
                std::runtime_error);

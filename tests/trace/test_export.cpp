@@ -152,6 +152,77 @@ TEST(Export, EnvironmentFingerprintRoundTrips) {
   EXPECT_EQ(parsed.environment->cpu_model, "Test CPU");
 }
 
+// The environment object reads like the journal's provenance record: a
+// missing key is "unknown" or 0, and a key of the wrong type (or an
+// environment that is not an object) is refused with its line and column.
+TEST(Export, EnvironmentToleratesMissingKeysAndLocatesMistypedOnes) {
+  telemetry::EnvironmentFingerprint env;
+  env.cpu_model = "Test CPU";
+  env.uarch = "testarch";
+  env.smt = 2;
+  env.freq_max_khz = 3000000;
+  ExportDocument doc;
+  doc.benchmark = "env";
+  doc.metric = "GFLOP/s";
+  doc.technique.strategy = "exhaustive";
+  doc.environment = env;
+  doc.space.add_range(core::ParameterRange("n", {1}));
+  std::string base = write_export(doc);
+  base.replace(base.find("\"environment\":{"), 15, "\"environment\":\n{");
+
+  const auto edited = [&](const std::string& from, const std::string& to) {
+    std::string text = base;
+    const auto pos = text.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    if (pos != std::string::npos) text.replace(pos, from.size(), to);
+    return text;
+  };
+  const ExportDocument missing = parse_export(edited("\"cpu\":\"Test CPU\",", ""));
+  ASSERT_TRUE(missing.environment.has_value());
+  EXPECT_EQ(missing.environment->cpu_model, "unknown");
+  EXPECT_EQ(missing.environment->uarch, "testarch");
+  const ExportDocument no_numbers = parse_export(edited("\"smt\":2,", ""));
+  EXPECT_EQ(no_numbers.environment->smt, 0);
+  EXPECT_EQ(no_numbers.environment->freq_max_khz, 3000000);
+
+  struct Row {
+    const char* name;
+    std::string from;
+    std::string to;
+    std::size_t at;  // offset in `to` of the refused value
+    std::string reason;
+  };
+  const std::vector<Row> rows = {
+      {"string key holding a number", "\"cpu\":\"Test CPU\"", "\"cpu\":7", 6,
+       "not a string"},
+      {"integer key holding a string", "\"smt\":2", "\"smt\":\"2\"", 6,
+       "not a number"},
+      {"integer key holding a fraction", "\"freq_max_khz\":3000000",
+       "\"freq_max_khz\":1.5", 15, "not integral"},
+      // The original object becomes the value of a key the reader ignores.
+      {"environment not an object", "\"environment\":\n{",
+       "\"environment\":\n[],\"ignored\":{", 15, "not a object"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    std::string text = base;
+    const auto pos = text.find(row.from);
+    ASSERT_NE(pos, std::string::npos);
+    text.replace(pos, row.from.size(), row.to);
+    const std::size_t value_at = pos + row.at;
+    const std::size_t column = value_at - text.rfind('\n', value_at);
+    try {
+      (void)parse_export(text);
+      ADD_FAILURE() << "expected parse_export to throw";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(row.reason), std::string::npos) << what;
+      EXPECT_NE(what.find("(line 2, column " + std::to_string(column) + ")"), std::string::npos)
+          << what;
+    }
+  }
+}
+
 // Pinned schema-v1 fixture: these exact bytes must keep parsing (and
 // re-serializing to themselves) for as long as kExportSchemaVersion == 1.
 // A failure here means the written format changed without a version bump.

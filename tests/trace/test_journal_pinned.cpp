@@ -319,20 +319,20 @@ RunSummary summary_with_best() {
   return s;
 }
 
-/// Emit in logical-order-reversed cell order (ties kept in list order), so
-/// the merge, not the emission order, decides the output.
-void emit_reversed_cells(TraceJournal& journal,
-                         const std::vector<core::TraceEvent>& events) {
-  for (std::size_t end = events.size(); end > 0;) {
-    std::size_t begin = end - 1;
-    const auto cell = [&](std::size_t i) {
-      const auto& e = events[i];
-      return std::make_tuple(e.epoch, e.config_ordinal, e.invocation, e.rank);
-    };
-    while (begin > 0 && cell(begin - 1) == cell(end - 1)) --begin;
-    for (std::size_t i = begin; i < end; ++i) journal.emit(events[i]);
-    end = begin;
+using Cell = std::vector<core::TraceEvent>;
+
+/// The list split into runs of adjacent records sharing one sort key; a
+/// run keeps its list order, the emission order its ties must keep.
+std::vector<Cell> cells_of(const std::vector<core::TraceEvent>& events) {
+  const auto key = [](const core::TraceEvent& e) {
+    return std::make_tuple(e.epoch, e.config_ordinal, e.invocation, e.rank);
+  };
+  std::vector<Cell> cells;
+  for (const auto& e : events) {
+    if (cells.empty() || key(cells.back().front()) != key(e)) cells.emplace_back();
+    cells.back().push_back(e);
   }
+  return cells;
 }
 
 TEST(TraceJournalPinned, EveryKindAndShape) {
@@ -342,7 +342,11 @@ TEST(TraceJournalPinned, EveryKindAndShape) {
   TraceJournal journal(options);
   journal.begin_run({"dgemm", "GFLOP/s", "racing"});
   const auto events = pinned_events();
-  emit_reversed_cells(journal, events);
+  // Cells in reverse, so the merge, not the emission order, decides.
+  const auto cells = cells_of(events);
+  for (auto cell = cells.rbegin(); cell != cells.rend(); ++cell) {
+    for (const auto& e : *cell) journal.emit(e);
+  }
   journal.finish_run(summary_with_best());
 
   const std::string text = journal.str();
@@ -407,22 +411,11 @@ TEST(TraceJournal, ConcurrentEmitMatchesSerialEmit) {
   for (const auto& e : events) serial.emit(e);
   serial.finish_run(summary_with_best());
 
-  // Group the list into cells (ties stay together, in list order) and deal
-  // the cells round-robin to four threads.
+  // Deal the cells round-robin to four threads.
   constexpr std::size_t kThreads = 4;
-  std::vector<std::vector<std::vector<core::TraceEvent>>> work(kThreads);
-  std::size_t cells = 0;
-  for (std::size_t i = 0; i < events.size(); ++cells) {
-    std::size_t j = i + 1;
-    const auto key = [&](std::size_t k) {
-      const auto& e = events[k];
-      return std::make_tuple(e.epoch, e.config_ordinal, e.invocation, e.rank);
-    };
-    while (j < events.size() && key(j) == key(i)) ++j;
-    work[cells % kThreads].emplace_back(events.begin() + static_cast<long>(i),
-                                        events.begin() + static_cast<long>(j));
-    i = j;
-  }
+  std::vector<std::vector<Cell>> work(kThreads);
+  const auto cells = cells_of(events);
+  for (std::size_t c = 0; c < cells.size(); ++c) work[c % kThreads].push_back(cells[c]);
 
   for (int repeat = 0; repeat < 8; ++repeat) {
     TraceJournal journal;
