@@ -877,6 +877,17 @@ int cmd_advise(const ArgParser& parser, std::ostream& out) {
   return 0;
 }
 
+/// Refuse the first positional argument past the `taken` a command reads,
+/// by name, instead of dropping it.
+void refuse_stray_arguments(const std::string& command,
+                            const std::vector<std::string>& positional,
+                            std::size_t taken) {
+  if (positional.size() > taken) {
+    throw std::invalid_argument(command + ": unexpected argument '" +
+                                positional[taken] + "'");
+  }
+}
+
 int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
   if (args.empty() || args[0] == "--help" || args[0] == "-h" || args[0] == "help") {
     out << "usage: rooftune trace <journal.jsonl>\n"
@@ -895,6 +906,7 @@ int cmd_trace(const std::vector<std::string>& args, std::ostream& out) {
     out << trace::schema_reference();
     return args.empty() ? 1 : 0;
   }
+  refuse_stray_arguments("trace", args, 1);
   const trace::Journal journal = trace::read_journal_file(args[0]);
   out << trace::render_report(journal, analyze(journal));
   const std::string sidecar_path = args[0] + ".telemetry.jsonl";
@@ -946,6 +958,7 @@ int cmd_profile(const std::vector<std::string>& args, std::ostream& out) {
            "chrome://tracing; schema in docs/observability.md.\n";
     return rest.empty() ? 1 : 0;
   }
+  refuse_stray_arguments("profile", rest, 1);
   trace::ProfileReportOptions options;
   options.top_spans = top_spans;
   options.gantt_width = gantt_width;
@@ -1089,8 +1102,10 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostrea
   const std::vector<std::string> rest(args.begin() + 1, args.end());
 
   try {
-    if (command == "machines") return cmd_machines(out);
-    if (command == "version" || command == "--version") return cmd_version(out);
+    if (command == "machines" || command == "version" || command == "--version") {
+      refuse_stray_arguments(command, rest, 0);
+      return command == "machines" ? cmd_machines(out) : cmd_version(out);
+    }
     if (command == "trace") return cmd_trace(rest, out);
     if (command == "profile") return cmd_profile(rest, out);
 
@@ -1115,6 +1130,10 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostrea
       return 0;
     }
     parser.parse(rest);
+    // import reads its one <export.json> itself; nothing else takes one.
+    if (other == nullptr || other->run != cmd_import) {
+      refuse_stray_arguments(command, parser.positional(), 0);
+    }
     return kernel != nullptr ? cmd_tune(*kernel, parser, out) : other->run(parser, out);
   } catch (const std::exception& e) {
     err << "error: " << e.what() << '\n';

@@ -47,6 +47,8 @@ struct SchedulerStats {
   /// The inverse of write_fields over a parsed object (extra keys such as
   /// idle_fraction are ignored).  Throws on a missing or mistyped field.
   [[nodiscard]] static SchedulerStats read_fields(const util::JsonValue& object);
+
+  friend bool operator==(const SchedulerStats&, const SchedulerStats&) = default;
 };
 
 }  // namespace rooftune::core

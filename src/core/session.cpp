@@ -178,7 +178,9 @@ InvocationLog::InvocationLog(std::string path, const std::string& header,
                              std::vector<Record> records, std::size_t keep_bytes)
     : path_(std::move(path)), records_(std::move(records)) {
   if (keep_bytes == 0) {
-    std::ofstream(path_, std::ios::trunc) << header;
+    if (!util::write_text_file(path_, header)) {
+      throw std::runtime_error("TuningSession: cannot write " + path_);
+    }
   } else {
     std::filesystem::resize_file(path_, keep_bytes);  // drop a torn last line
   }
@@ -310,7 +312,9 @@ std::string TuningSession::header() const {
 TuningRun TuningSession::run(Backend& backend) {
   std::vector<InvocationLog::Record> records;
   std::size_t keep_bytes = 0;
-  if (std::filesystem::exists(path_)) {
+  // Only a regular file holds a log to resume.  A device such as /dev/full
+  // reads as endless zeros; it is written, and refused, like a new log.
+  if (std::filesystem::is_regular_file(path_)) {
     const auto text = util::read_text_file(path_);
     if (!text) throw std::runtime_error("TuningSession: cannot read checkpoint '" + path_ + "'");
     const std::string_view all(*text);

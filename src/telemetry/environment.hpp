@@ -68,6 +68,9 @@ struct EnvironmentFingerprint {
   /// Append the full provenance journal record as one top-level object:
   ///   {"t":"provenance","v":1,...,"env":"<16-hex stable_hash>"}
   void write_provenance(util::JsonWriter& w) const;
+
+  friend bool operator==(const EnvironmentFingerprint&,
+                         const EnvironmentFingerprint&) = default;
 };
 
 /// Parse a provenance record produced by write_provenance() (its fields

@@ -1,13 +1,21 @@
 #include "trace/analyze.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <unordered_map>
 
 #include "util/strings.hpp"
 
 namespace rooftune::trace {
 
 namespace {
+
+constexpr std::uint32_t kNone = JournalRecord::kNone;
+
+/// StopReason values, None through CounterBound (the last).
+constexpr std::size_t kStopReasons =
+    static_cast<std::size_t>(core::StopReason::CounterBound) + 1;
 
 struct IntensityAccumulator {
   double flops = 0.0;
@@ -16,30 +24,68 @@ struct IntensityAccumulator {
   bool have_perf = false;
 };
 
+/// One configuration ordinal's reduction.
+struct OrdinalState {
+  ConfigTimeline timeline;
+  IntensityAccumulator intensity;
+  std::uint32_t config = kNone;  ///< first Journal::configs entry seen
+};
+
+/// OrdinalState per ordinal, in order of first appearance.  Ordinals below
+/// the record count (every well-formed journal's) index a vector; others
+/// fall back to a hash map.
+class OrdinalStates {
+ public:
+  explicit OrdinalStates(std::size_t records) : dense_(records, kNone) {}
+
+  OrdinalState& at(std::uint64_t ordinal) {
+    std::uint32_t& slot = ordinal < dense_.size()
+                              ? dense_[ordinal]
+                              : sparse_.try_emplace(ordinal, kNone).first->second;
+    if (slot == kNone) {
+      slot = static_cast<std::uint32_t>(states.size());
+      states.emplace_back().timeline.ordinal = ordinal;
+    }
+    return states[slot];
+  }
+
+  std::vector<OrdinalState> states;
+
+ private:
+  std::vector<std::uint32_t> dense_;
+  std::unordered_map<std::uint64_t, std::uint32_t> sparse_;
+};
+
 }  // namespace
 
 TraceAnalysis analyze(const Journal& journal) {
   TraceAnalysis analysis;
-  std::map<std::uint64_t, ConfigTimeline> configs;
-  std::map<std::uint64_t, IntensityAccumulator> intensity;
+  OrdinalStates ordinals(journal.records.size());
+  std::array<StopAccounting, kStopReasons> by_reason{};
+  std::vector<std::uint64_t> pruned_by_class(journal.labels.size());
   std::uint64_t seed_errors = 0;
   double seed_error_sum = 0.0;
 
+  // The state of a timeline record's ordinal, which is named by the
+  // configuration of its first record that carries one.
+  const auto timeline = [&](const JournalRecord& e) -> OrdinalState& {
+    OrdinalState& state = ordinals.at(e.config_ordinal);
+    if (state.config == kNone) state.config = e.config;
+    return state;
+  };
+
   using Kind = core::TraceEvent::Kind;
-  for (const JournalRecord& record : journal.records) {
-    const core::TraceEvent& e = record.event;
+  for (const JournalRecord& e : journal.records) {
     switch (e.kind) {
       case Kind::Invocation: {
-        ConfigTimeline& config = configs[e.config_ordinal];
-        config.ordinal = e.config_ordinal;
-        if (config.config.empty()) config.config = e.config.to_string();
+        OrdinalState& state = timeline(e);
+        ConfigTimeline& config = state.timeline;
         ++config.invocations;
         config.iterations += e.iterations;
         config.kernel_s += e.kernel_s;
         config.setup_s += e.setup_s;
 
-        StopAccounting& accounting =
-            analysis.by_reason[core::to_string(e.reason)];
+        StopAccounting& accounting = by_reason[static_cast<std::size_t>(e.reason)];
         ++accounting.decisions;
         accounting.iterations += e.iterations;
         ++analysis.total_invocations;
@@ -47,20 +93,19 @@ TraceAnalysis analyze(const Journal& journal) {
         analysis.max_invocation_iterations =
             std::max(analysis.max_invocation_iterations, e.iterations);
 
-        IntensityAccumulator& acc = intensity[e.config_ordinal];
+        IntensityAccumulator& acc = state.intensity;
         if (e.flops.has_value()) acc.flops += *e.flops;
         if (e.bytes.has_value()) acc.bytes += *e.bytes;
-        if (record.perf.has_value() && record.perf->valid) {
-          acc.llc_misses += record.perf->llc_misses;
+        const PerfSample* perf = journal.perf(e);
+        if (perf != nullptr && perf->valid) {
+          acc.llc_misses += perf->llc_misses;
           acc.have_perf = true;
-          if (record.perf->scaled) ++analysis.scaled_perf_invocations;
+          if (perf->scaled) ++analysis.scaled_perf_invocations;
         }
         break;
       }
       case Kind::ConfigDone: {
-        ConfigTimeline& config = configs[e.config_ordinal];
-        config.ordinal = e.config_ordinal;
-        if (config.config.empty()) config.config = e.config.to_string();
+        ConfigTimeline& config = timeline(e).timeline;
         config.stop_reason = core::to_string(e.reason);
         config.value = e.value;
         if (config.outcome.empty()) {
@@ -69,11 +114,9 @@ TraceAnalysis analyze(const Journal& journal) {
         break;
       }
       case Kind::Elimination: {
-        ConfigTimeline& config = configs[e.config_ordinal];
-        config.ordinal = e.config_ordinal;
-        if (config.config.empty()) config.config = e.config.to_string();
+        ConfigTimeline& config = timeline(e).timeline;
         config.eliminated_round = e.epoch;
-        config.elimination_basis = e.basis;
+        config.elimination_basis = journal.label(e);
         config.outcome = "eliminated";
         break;
       }
@@ -82,7 +125,7 @@ TraceAnalysis analyze(const Journal& journal) {
         break;
       case Kind::SurrogateFit:
         if (!analysis.surrogate.has_value()) analysis.surrogate.emplace();
-        if (e.config.parameters().empty()) {
+        if (e.config == kNone) {
           analysis.surrogate->samples = e.count;
           analysis.surrogate->r2 = e.r2;
           analysis.surrogate->log_scale = e.model_log_scale;
@@ -94,18 +137,16 @@ TraceAnalysis analyze(const Journal& journal) {
         break;
       case Kind::PruneBatch:
         if (!analysis.surrogate.has_value()) analysis.surrogate.emplace();
-        if (e.config.parameters().empty()) {
+        if (e.config == kNone) {
           analysis.surrogate->scanned = e.scanned;
           analysis.surrogate->kept = e.kept;
         } else {
           analysis.surrogate->candidates.emplace_back(
-              e.config.to_string(), e.predicted.value_or(0.0));
+              journal.config(e).to_string(), e.predicted.value_or(0.0));
         }
         break;
       case Kind::CounterPrune: {
-        ConfigTimeline& config = configs[e.config_ordinal];
-        config.ordinal = e.config_ordinal;
-        if (config.config.empty()) config.config = e.config.to_string();
+        ConfigTimeline& config = timeline(e).timeline;
         config.outcome = "eliminated";
         config.elimination_basis = "counter-bound";
         // Rank 5 records come from racing's round conclusion and rank 1
@@ -120,11 +161,12 @@ TraceAnalysis analyze(const Journal& journal) {
         CounterPruneAnalysis& cp = *analysis.counter_prune;
         ++cp.pruned;
         if (e.count == 0) ++cp.skipped;
-        ++cp.by_class[e.basis];
+        ++pruned_by_class[e.label];
         if (e.widened) ++cp.widened;
         cp.margin = e.margin;
-        cp.entries.push_back(
-            {e.config.to_string(), e.basis, e.bound, e.oi, e.incumbent});
+        cp.entries.push_back({journal.config(e).to_string(),
+                              std::string(journal.label(e)), e.bound, e.oi,
+                              e.incumbent});
         break;
       }
       case Kind::IncumbentUpdate:
@@ -137,9 +179,32 @@ TraceAnalysis analyze(const Journal& journal) {
     analysis.surrogate->mean_seed_error =
         seed_error_sum / static_cast<double>(seed_errors);
   }
+  for (std::size_t reason = 0; reason < kStopReasons; ++reason) {
+    if (by_reason[reason].decisions > 0) {
+      analysis.by_reason[core::to_string(static_cast<core::StopReason>(reason))] =
+          by_reason[reason];
+    }
+  }
+  if (analysis.counter_prune.has_value()) {
+    for (std::size_t label = 0; label < pruned_by_class.size(); ++label) {
+      if (pruned_by_class[label] > 0) {
+        analysis.counter_prune->by_class[journal.labels[label]] = pruned_by_class[label];
+      }
+    }
+  }
 
-  for (auto& [ordinal, config] : configs) {
-    const IntensityAccumulator& acc = intensity[ordinal];
+  std::vector<OrdinalState>& states = ordinals.states;
+  const auto by_ordinal = [](const OrdinalState& a, const OrdinalState& b) {
+    return a.timeline.ordinal < b.timeline.ordinal;
+  };
+  if (!std::is_sorted(states.begin(), states.end(), by_ordinal)) {
+    std::sort(states.begin(), states.end(), by_ordinal);
+  }
+  analysis.configs.reserve(states.size());
+  for (OrdinalState& state : states) {
+    ConfigTimeline& config = state.timeline;
+    if (state.config != kNone) config.config = journal.configs[state.config].to_string();
+    const IntensityAccumulator& acc = state.intensity;
     if (acc.flops > 0.0 && acc.bytes > 0.0) {
       config.analytic_intensity = acc.flops / acc.bytes;
     }
@@ -182,9 +247,13 @@ TraceAnalysis analyze(const Journal& journal) {
 
 namespace {
 
-std::string intensity_cell(const std::optional<double>& value) {
-  return value.has_value() ? util::format("%10.4f", *value)
-                           : std::string("         -");
+/// "%10.4f", or a dash in its place.
+void append_intensity(std::string& out, const std::optional<double>& value) {
+  if (value.has_value()) {
+    util::append_fixed(out, *value, 10, 4);
+  } else {
+    util::append_right(out, "-", 10);
+  }
 }
 
 }  // namespace
@@ -232,20 +301,37 @@ std::string render_report(const Journal& journal,
   out += util::format("  %-4s %-28s %-10s %-14s %5s %8s %12s %10s %10s\n",
                       "ord", "config", "outcome", "stop", "inv", "iters",
                       "value", "OI-calc", "OI-meas");
+  // One row per configuration, as
+  // "  %-4llu %-28s %-10s %-14s %5llu %8llu %12.2f %10.4f %10.4f\n".
+  out.reserve(out.size() + 128 * analysis.configs.size() + 4096);
+  std::string cell;  // reused across rows
   for (const auto& config : analysis.configs) {
-    std::string outcome = config.outcome;
+    out += "  ";
+    cell.clear();
+    util::append_uint(cell, config.ordinal, 0);
+    util::append_left(out, cell, 4);
+    out += ' ';
+    util::append_left(out, config.config, 28);
+    out += ' ';
+    cell = config.outcome;
     if (config.eliminated_round.has_value()) {
-      outcome += util::format(
-          "@r%llu", static_cast<unsigned long long>(*config.eliminated_round));
+      cell += "@r";
+      util::append_uint(cell, *config.eliminated_round, 0);
     }
-    out += util::format(
-        "  %-4llu %-28s %-10s %-14s %5llu %8llu %12.2f %s %s\n",
-        static_cast<unsigned long long>(config.ordinal),
-        config.config.c_str(), outcome.c_str(), config.stop_reason.c_str(),
-        static_cast<unsigned long long>(config.invocations),
-        static_cast<unsigned long long>(config.iterations), config.value,
-        intensity_cell(config.analytic_intensity).c_str(),
-        intensity_cell(config.measured_intensity).c_str());
+    util::append_left(out, cell, 10);
+    out += ' ';
+    util::append_left(out, config.stop_reason, 14);
+    out += ' ';
+    util::append_uint(out, config.invocations, 5);
+    out += ' ';
+    util::append_uint(out, config.iterations, 8);
+    out += ' ';
+    util::append_fixed(out, config.value, 12, 2);
+    out += ' ';
+    append_intensity(out, config.analytic_intensity);
+    out += ' ';
+    append_intensity(out, config.measured_intensity);
+    out += '\n';
   }
   out += '\n';
 
@@ -272,7 +358,11 @@ std::string render_report(const Journal& journal,
     if (!s.candidates.empty()) {
       out += util::format("  %-28s %12s\n", "candidate", "predicted");
       for (const auto& [config, predicted] : s.candidates) {
-        out += util::format("  %-28s %12.2f\n", config.c_str(), predicted);
+        out += "  ";
+        util::append_left(out, config, 28);
+        out += ' ';
+        util::append_fixed(out, predicted, 12, 2);
+        out += '\n';
       }
     }
     out += '\n';
@@ -302,12 +392,21 @@ std::string render_report(const Journal& journal,
     out += util::format("  %-28s %-10s %12s %10s %12s\n", "config", "class",
                         "bound", "OI-meas", "incumbent");
     for (const auto& entry : cp.entries) {
-      out += util::format("  %-28s %-10s %12.2f %s %s\n", entry.config.c_str(),
-                          entry.cls.c_str(), entry.bound,
-                          intensity_cell(entry.oi).c_str(),
-                          entry.incumbent.has_value()
-                              ? util::format("%12.2f", *entry.incumbent).c_str()
-                              : "           -");
+      out += "  ";
+      util::append_left(out, entry.config, 28);
+      out += ' ';
+      util::append_left(out, entry.cls, 10);
+      out += ' ';
+      util::append_fixed(out, entry.bound, 12, 2);
+      out += ' ';
+      append_intensity(out, entry.oi);
+      out += ' ';
+      if (entry.incumbent.has_value()) {
+        util::append_fixed(out, *entry.incumbent, 12, 2);
+      } else {
+        util::append_right(out, "-", 12);
+      }
+      out += '\n';
     }
     out += '\n';
   }

@@ -105,7 +105,7 @@ struct TraceAnalysis {
   /// scaled counts are estimates, not exact event counts.
   std::uint64_t scaled_perf_invocations = 0;
   /// Racing round summaries in order (empty for exhaustive runs).
-  std::vector<core::TraceEvent> rounds;
+  std::vector<JournalRecord> rounds;
   /// Cross-check failures (summary totals vs. per-record sums); empty when
   /// the journal is internally consistent.
   std::vector<std::string> inconsistencies;

@@ -162,16 +162,15 @@ ExportDocument export_from_journal(const Journal& journal,
   // order, so within one ordinal invocations are already ascending — but
   // interleaving strategies (racing) spread one config across epochs, so
   // membership is keyed by ordinal, not position.
-  std::map<std::uint64_t, std::vector<const core::TraceEvent*>> invocations;
+  std::map<std::uint64_t, std::vector<const JournalRecord*>> invocations;
   core::TuningRun rescored;
-  for (const auto& record : journal.records) {
-    const core::TraceEvent& e = record.event;
+  for (const JournalRecord& e : journal.records) {
     if (e.kind == core::TraceEvent::Kind::Invocation) {
       invocations[e.config_ordinal].push_back(&e);
     } else if (e.kind == core::TraceEvent::Kind::ConfigDone) {
       ExportConfigResult r;
       try {
-        r.config = space_point(e.config, doc.space);
+        r.config = space_point(journal.config(e), doc.space);
       } catch (const std::invalid_argument& error) {
         throw std::runtime_error("export: journal configuration outside the search space: " +
                                  std::string(error.what()));
@@ -188,7 +187,7 @@ ExportDocument export_from_journal(const Journal& journal,
             "records (ordinal " +
             std::to_string(e.config_ordinal) + ")");
       }
-      for (const core::TraceEvent* inv : group->second) {
+      for (const JournalRecord* inv : group->second) {
         ExportInvocation x;
         x.mean = inv->mean;
         x.stddev = inv->stddev;

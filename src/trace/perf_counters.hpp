@@ -38,6 +38,8 @@ struct PerfSample {
   std::uint64_t time_running_ns = 0;  ///< slice the group actually counted
   bool scaled = false;  ///< counts extrapolated from a partial slice
   bool valid = false;
+
+  friend bool operator==(const PerfSample&, const PerfSample&) = default;
 };
 
 /// One thread's counter group.  Not thread-safe: each evaluation worker

@@ -1,6 +1,7 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -33,6 +34,31 @@ std::string to_lower(const std::string& text) {
   std::string out = text;
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return out;
+}
+
+void append_left(std::string& out, std::string_view text, std::size_t width) {
+  out += text;
+  if (text.size() < width) out.append(width - text.size(), ' ');
+}
+
+void append_right(std::string& out, std::string_view text, std::size_t width) {
+  if (text.size() < width) out.append(width - text.size(), ' ');
+  out += text;
+}
+
+void append_uint(std::string& out, unsigned long long value, std::size_t width) {
+  char buf[24];
+  const char* end = std::to_chars(buf, buf + sizeof buf, value).ptr;
+  append_right(out, std::string_view(buf, static_cast<std::size_t>(end - buf)), width);
+}
+
+void append_fixed(std::string& out, double value, std::size_t width, int precision) {
+  // DBL_MAX has 309 integral digits; a sign, a point and up to 200
+  // decimals fit.
+  char buf[512];
+  const char* end =
+      std::to_chars(buf, buf + sizeof buf, value, std::chars_format::fixed, precision).ptr;
+  append_right(out, std::string_view(buf, static_cast<std::size_t>(end - buf)), width);
 }
 
 bool starts_with(const std::string& text, const std::string& prefix) {

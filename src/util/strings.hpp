@@ -25,6 +25,22 @@ std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 /// "1234567.8" → "1,234,567.8" (thousands separators for report tables).
 std::string with_thousands(double value, int decimals);
 
+// Report cells appended in place, each what snprintf would print for the
+// spec named, without a format string to interpret per cell.
+
+/// `text` left-aligned in `width` columns: "%-*s".
+void append_left(std::string& out, std::string_view text, std::size_t width);
+
+/// `text` right-aligned in `width` columns: "%*s".
+void append_right(std::string& out, std::string_view text, std::size_t width);
+
+/// `value` right-aligned in `width` columns: "%*llu" (width 0: "%llu").
+void append_uint(std::string& out, unsigned long long value, std::size_t width);
+
+/// `value` with `precision` (at most 200) decimals, right-aligned in
+/// `width` columns: "%*.*f".
+void append_fixed(std::string& out, double value, std::size_t width, int precision);
+
 /// A whole file's bytes, read into one string sized up front; nullopt when
 /// the file cannot be opened or read (each caller words its own error).
 std::optional<std::string> read_text_file(const std::string& path);

@@ -71,6 +71,8 @@ struct ArenaStats {
     pages_touched += other.pages_touched;
     return *this;
   }
+
+  friend bool operator==(const ArenaStats&, const ArenaStats&) = default;
 };
 
 class WorkspaceArena {

@@ -172,6 +172,19 @@ TEST_F(ArtifactWriteCli, RooflineSvgOnAFullDeviceFails) {
   EXPECT_EQ(out.str().find("wrote /dev/full"), std::string::npos);
 }
 
+// The checkpoint's header is written before the first invocation runs, so
+// a checkpoint on a full device fails at once, with no report.
+TEST_F(ArtifactWriteCli, CheckpointOnAFullDeviceFailsAtOnce) {
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"dgemm", "--machine", "gold6148", "--invocations", "1",
+                     "--iterations", "2", "--checkpoint", "/dev/full"},
+                    out, err),
+            1);
+  EXPECT_NE(err.str().find("TuningSession: cannot write /dev/full"), std::string::npos)
+      << err.str();
+  EXPECT_EQ(out.str(), "");
+}
+
 TEST_F(ArtifactWriteCli, TelemetrySidecarOnAFullDeviceFails) {
   // The sidecar's path is the journal's plus ".telemetry.jsonl"; a symlink
   // there sends only the sidecar to the full device.

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/commands.hpp"
@@ -127,6 +128,38 @@ TEST(CliOptions, CommandsRejectOptionsTheyDoNotRead) {
     EXPECT_EQ(r.code, 1) << args[0] << ' ' << args[1];
     EXPECT_NE(r.err.find("unknown option --" + args[1].substr(2)), std::string::npos)
         << args[0] << ' ' << args[1] << ": " << r.err;
+  }
+}
+
+// A positional argument that no command reads is refused by name, not
+// dropped: a stray word after a run's options, and a path after --telemetry
+// (a flag, so the path was never its value).  Each refusal comes before the
+// run, so neither case writes a journal.
+TEST(CliOptions, StrayPositionalArgumentsAreRefusedByName) {
+  const std::vector<std::string> dgemm = {"dgemm", "--machine", "gold6148",
+                                          "--invocations", "1", "--iterations", "2"};
+  const auto with = [&](std::initializer_list<std::string> extra) {
+    std::vector<std::string> args = dgemm;
+    args.insert(args.end(), extra);
+    return args;
+  };
+  const std::string journal =
+      (std::filesystem::temp_directory_path() / "rooftune_stray.jsonl").string();
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {with({"extra"}), "extra"},
+      {with({"--trace", journal, "--telemetry", "/dev/full"}), "/dev/full"},
+      {{"roofline", "--machine", "gold6148", "extra"}, "extra"},
+      {{"machines", "extra"}, "extra"},
+      {{"trace", journal, "extra"}, "extra"},
+      {{"profile", "p.json", "extra"}, "extra"},
+  };
+  for (const auto& [args, stray] : cases) {
+    const auto r = run(args);
+    EXPECT_EQ(r.code, 1) << args[0] << ' ' << stray;
+    EXPECT_NE(r.err.find(args[0] + ": unexpected argument '" + stray + "'"),
+              std::string::npos)
+        << r.err;
+    EXPECT_FALSE(std::filesystem::exists(journal)) << args[0] << ' ' << stray;
   }
 }
 

@@ -167,8 +167,8 @@ TEST(TraceDeterminism, CounterPruneJournalRecordsSkipsAndKeepsTheOptimum) {
   const Journal journal = read_journal(counter_serial_journal());
   std::uint64_t skips = 0;
   for (const auto& record : journal.records) {
-    if (record.event.kind == core::TraceEvent::Kind::CounterPrune &&
-        record.event.count == 0) {
+    if (record.kind == core::TraceEvent::Kind::CounterPrune &&
+        record.count == 0) {
       ++skips;
     }
   }

@@ -5,14 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <initializer_list>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cli/commands.hpp"
 #include "core/autotuner.hpp"
 #include "core/search_space.hpp"
 #include "core/trace_events.hpp"
 #include "trace/reader.hpp"
+#include "util/strings.hpp"
 #include "../core/fake_backend.hpp"
 
 namespace rooftune::trace {
@@ -125,18 +132,18 @@ TEST(TraceJournal, EveryStopReasonRoundTrips) {
 
     const Journal parsed = read_journal(journal.str());
     ASSERT_EQ(parsed.records.size(), 2u) << core::to_string(reason);
-    EXPECT_EQ(parsed.records[0].event.reason, reason) << core::to_string(reason);
-    EXPECT_EQ(parsed.records[1].event.reason, reason) << core::to_string(reason);
+    EXPECT_EQ(parsed.records[0].reason, reason) << core::to_string(reason);
+    EXPECT_EQ(parsed.records[1].reason, reason) << core::to_string(reason);
   }
 }
 
-// Parameter names are written as JSON keys straight into the journal's one
-// buffer; quotes, backslashes, control bytes and multi-byte UTF-8 must come
-// back from the reader unchanged.
-TEST(TraceJournal, EscapedConfigKeysRoundTrip) {
-  const std::vector<std::string> names = {
-      "quote\"d", "back\\slash", "ctrl\x01\x1f\t\n", "caf\xc3\xa9 \xe2\x82\xac",
-      "plain"};
+const std::vector<std::string> kEscapedNames = {
+    "quote\"d", "back\\slash", "ctrl\x01\x1f\t\n", "caf\xc3\xa9 \xe2\x82\xac",
+    "plain"};
+
+/// A journal whose parameter names and header strings need escaping.
+std::string escaped_key_journal() {
+  const std::vector<std::string>& names = kEscapedNames;
   TraceJournal journal;
   journal.begin_run({"b\"ench\\", "m\x02", "exhaustive"});
   for (std::size_t i = 0; i < names.size(); ++i) {
@@ -149,12 +156,20 @@ TEST(TraceJournal, EscapedConfigKeysRoundTrip) {
         {{names[i], static_cast<std::int64_t>(i)}, {"x", -7}});
     journal.emit(done);
   }
-  const Journal parsed = read_journal(journal.str());
+  return journal.str();
+}
+
+// Parameter names are written as JSON keys straight into the journal's one
+// buffer; quotes, backslashes, control bytes and multi-byte UTF-8 must come
+// back from the reader unchanged.
+TEST(TraceJournal, EscapedConfigKeysRoundTrip) {
+  const std::vector<std::string>& names = kEscapedNames;
+  const Journal parsed = read_journal(escaped_key_journal());
   EXPECT_EQ(parsed.header.benchmark, "b\"ench\\");
   EXPECT_EQ(parsed.header.metric, "m\x02");
   ASSERT_EQ(parsed.records.size(), names.size());
   for (std::size_t i = 0; i < names.size(); ++i) {
-    const core::Configuration& config = parsed.records[i].event.config;
+    const core::Configuration& config = parsed.config(parsed.records[i]);
     ASSERT_EQ(config.size(), 2u) << i;
     EXPECT_TRUE(config.has(names[i])) << i;
     EXPECT_EQ(config.at(names[i]), static_cast<std::int64_t>(i));
@@ -223,12 +238,12 @@ TEST(TraceJournal, CounterPruneRecordsRoundTrip) {
 
   const Journal parsed = read_journal(journal.str());
   ASSERT_EQ(parsed.records.size(), 2u);
-  const core::TraceEvent& p = parsed.records[0].event;
+  const JournalRecord& p = parsed.records[0];
   EXPECT_EQ(p.kind, Kind::CounterPrune);
   EXPECT_EQ(p.epoch, 2u);
   EXPECT_EQ(p.config_ordinal, 7u);
   EXPECT_EQ(p.rank, 5);
-  EXPECT_EQ(p.basis, "dram-bound");
+  EXPECT_EQ(parsed.label(p), "dram-bound");
   EXPECT_DOUBLE_EQ(p.bound, 61.25);
   EXPECT_DOUBLE_EQ(p.margin, 0.25);
   ASSERT_TRUE(p.oi.has_value());
@@ -239,7 +254,7 @@ TEST(TraceJournal, CounterPruneRecordsRoundTrip) {
   EXPECT_EQ(p.count, 2u);
   EXPECT_DOUBLE_EQ(p.mean, 44.875);
 
-  const core::TraceEvent& s = parsed.records[1].event;
+  const JournalRecord& s = parsed.records[1];
   EXPECT_EQ(s.rank, 1);
   EXPECT_EQ(s.count, 0u);
   EXPECT_DOUBLE_EQ(s.bound, 12.5);
@@ -322,6 +337,92 @@ TEST(TraceReader, LongOffendingLinesAreTruncatedInErrors) {
     EXPECT_NE(what.find("..."), std::string::npos) << what;
     EXPECT_LT(what.size(), long_line.size()) << "error must truncate";
   }
+}
+
+/// The journal of a simulated grid-4 DGEMM run with `options`.
+std::string grid4_journal(std::initializer_list<std::string> options) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "rooftune_chunked_read.jsonl").string();
+  std::vector<std::string> args = {"dgemm", "--machine", "gold6148", "--grid-scale",
+                                   "4", "--trace", path};
+  args.insert(args.end(), options);
+  std::ostringstream out, err;
+  EXPECT_EQ(cli::run_cli(args, out, err), 0) << err.str();
+  std::string text = util::read_text_file(path).value_or("");
+  std::filesystem::remove(path);
+  return text;
+}
+
+/// The journal read in `chunks` chunks, or the error it was refused with.
+struct ChunkedRead {
+  std::optional<Journal> journal;
+  std::string error;
+};
+
+ChunkedRead read_in_chunks(const std::string& text, std::size_t chunks) {
+  ChunkedRead read;
+  try {
+    read.journal = detail::read_journal(text, chunks);
+  } catch (const std::exception& e) {
+    read.error = e.what();
+  }
+  return read;
+}
+
+/// Reads at 2, 3 and 7 chunks equal the one-chunk read: the same Journal,
+/// tables and indices included, or the same error text.
+void expect_chunk_invariant(const std::string& name, const std::string& text) {
+  const ChunkedRead one = read_in_chunks(text, 1);
+  for (const std::size_t chunks : {2, 3, 7}) {
+    const ChunkedRead many = read_in_chunks(text, chunks);
+    EXPECT_EQ(many.error, one.error) << name << " at " << chunks << " chunks";
+    EXPECT_TRUE(many.journal == one.journal) << name << " at " << chunks << " chunks";
+  }
+}
+
+// The parallel reader cuts a journal at line boundaries, parses the chunks
+// on threads and merges them; where the cuts fall must not show in what it
+// returns, nor in which line a refusal names.
+TEST(TraceReader, ChunkedReadMatchesOneChunk) {
+  const std::string racing = grid4_journal({"--strategy", "racing"});
+  ASSERT_GT(racing.size(), 1u << 20);
+  const std::vector<std::pair<std::string, std::string>> journals = {
+      {"golden", kGoldenJournal},
+      {"escaped keys", escaped_key_journal()},
+      {"grid-4 racing", racing},
+      {"grid-4 surrogate", grid4_journal({"--strategy", "surrogate"})},
+      {"grid-4 counter-prune",
+       grid4_journal({"--strategy", "racing", "--counter-prune"})},
+  };
+  for (const auto& [name, text] : journals) {
+    const ChunkedRead one = read_in_chunks(text, 1);
+    ASSERT_TRUE(one.journal.has_value()) << name << ": " << one.error;
+    EXPECT_FALSE(one.journal->records.empty()) << name;
+    EXPECT_TRUE(read_journal(text) == *one.journal) << name;
+    expect_chunk_invariant(name, text);
+  }
+
+  // Refusals: a provenance line after the records (in a later chunk than
+  // the header), a bad line near the end, and no header at all.
+  const std::string provenance =
+      racing.substr(0, racing.find('\n') + 1);  // the CLI writes one first
+  ASSERT_EQ(provenance.rfind("{\"t\":\"provenance\"", 0), 0u) << provenance;
+  const std::size_t late = racing.find('\n', racing.size() / 2) + 1;
+  const std::string misplaced = racing.substr(0, late) + provenance + racing.substr(late);
+  ASSERT_NE(read_in_chunks(misplaced, 1).error.find("must precede"), std::string::npos);
+  expect_chunk_invariant("misplaced provenance", misplaced);
+
+  const std::size_t last = racing.rfind('\n', racing.size() - 2) + 1;
+  const std::string broken = racing.substr(0, last) + "{\"t\":\"round\",,,\n";
+  ASSERT_NE(read_in_chunks(broken, 1).error.find("trace journal line"), std::string::npos);
+  expect_chunk_invariant("broken last line", broken);
+
+  const std::size_t header = racing.find("{\"t\":\"run\"");
+  const std::string headerless =
+      racing.substr(0, header) + racing.substr(racing.find('\n', header) + 1);
+  ASSERT_NE(read_in_chunks(headerless, 1).error.find("missing 'run' header"),
+            std::string::npos);
+  expect_chunk_invariant("no header", headerless);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -350,6 +351,8 @@ Artifacts small_run_artifacts() {
   return {journal.str(), trace::write_export(doc)};
 }
 
+// Each mutation is also read in 1 and in 4 chunks (the parallel reader's
+// cut): both give the same Journal or fail with the same text.
 TEST(JsonFuzz, MutatedJournalsFailWithTheirLine) {
   const std::string base = small_run_artifacts().journal;
   ASSERT_NO_THROW((void)trace::read_journal(base));
@@ -364,6 +367,17 @@ TEST(JsonFuzz, MutatedJournalsFailWithTheirLine) {
       EXPECT_NE(std::string(e.what()).find("trace journal"), std::string::npos)
           << "trial " << trial << ": " << e.what();
     }
+    std::optional<trace::Journal> read[2];
+    std::string error[2];
+    for (const std::size_t i : {0, 1}) {
+      try {
+        read[i] = trace::detail::read_journal(text, i == 0 ? 1 : 4);
+      } catch (const std::exception& e) {
+        error[i] = e.what();
+      }
+    }
+    EXPECT_EQ(error[0], error[1]) << "trial " << trial;
+    EXPECT_TRUE(read[0] == read[1]) << "trial " << trial;
   }
 }
 
